@@ -71,14 +71,16 @@ def cmd_eval(est, gt, out_dir, align, max_dt):
 
 @cli.command("obs")
 @click.argument("dataset", type=click.Path(exists=True, file_okay=False))
-@click.option("--threshold", type=float, default=10.0, show_default=True)
+@click.option("--threshold", type=float, default=None,
+              help="Override the config's observability.threshold.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(exists=True))
 def cmd_obs(dataset, threshold, out_dir, config_path):
     """Observability trace over a dataset's scans."""
     from .pipeline import _preprocess, load_dataset
     cfg = load_config(config_path)
-    cfg.observability.threshold = threshold
+    if threshold is None:
+        threshold = cfg.observability.threshold
     scans, _, _ = load_dataset(dataset)
     os.makedirs(out_dir, exist_ok=True)
     log = ObservabilityLog()

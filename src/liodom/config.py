@@ -56,12 +56,6 @@ class ExtrinsicsConfig:
 
 
 @dataclass
-class OutputConfig:
-    mode: str = "keyframe"              # or "highrate"
-    highrate_hz: float = 200.0
-
-
-@dataclass
 class PipelineConfig:
     seed: int = 0
     icp: IcpParams = field(default_factory=IcpParams)
@@ -72,7 +66,6 @@ class PipelineConfig:
     priors: PriorConfig = field(default_factory=PriorConfig)
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     extrinsics: ExtrinsicsConfig = field(default_factory=ExtrinsicsConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
 
 class ConfigError(ValueError):
@@ -108,7 +101,6 @@ _SUBSECTIONS = {
     (PipelineConfig, "priors"): PriorConfig,
     (PipelineConfig, "supervisor"): SupervisorConfig,
     (PipelineConfig, "extrinsics"): ExtrinsicsConfig,
-    (PipelineConfig, "output"): OutputConfig,
 }
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, compose, quat_to_rot, so3_log
+from .geometry import Pose, compose, quat_to_rot
 
 
 def load_tum(path: str) -> list[tuple[float, Pose]]:

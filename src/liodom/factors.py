@@ -9,7 +9,7 @@ covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -319,8 +319,3 @@ class LinearizedPriorFactor(Factor):
         for k, i in enumerate(self.indices):
             out[i] = self.A[:, k * STATE_DIM:(k + 1) * STATE_DIM]
         return out
-
-    def remap(self, index_map: dict[int, int]) -> "LinearizedPriorFactor":
-        f = LinearizedPriorFactor(tuple(index_map[i] for i in self.indices),
-                                  self.lin_states, self.A, self.b)
-        return f

@@ -7,6 +7,7 @@ produce the unified output alongside the raw estimator trajectories.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 
@@ -14,10 +15,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .evalkit import load_tum
-from .geometry import Pose, compose, rot_z, skew, so3_exp
+from .geometry import Pose, compose, rot_z, so3_exp
 from .observability import ObservabilityLog, assess
 from .pointcloud import PointCloud, estimate_normals, load_csv, voxel_downsample
-from .preintegration import ImuNoiseParams, ImuSample, integrate_window, load_imu_csv
+from .preintegration import ImuSample, integrate_window, load_imu_csv
 from .scan_matching import Gap, gravity_align_guess, match
 from .simworld import wheel_inertial_trajectory, write_tum
 from .smoother import FixedLagSmoother
@@ -81,14 +82,15 @@ class RunOutputs:
     extrinsics: list     # [(t, Pose)]
     obs_log: ObservabilityLog
     supervisor: Supervisor
-    optimize_times: list
 
 
-def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> None:
-    """Adopt the dataset's IMU datasheet noise densities when provided."""
+def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> PipelineConfig:
+    """Copy of cfg that adopts the dataset's IMU datasheet noise densities
+    when provided; cfg itself is left unchanged."""
+    cfg = copy.deepcopy(cfg)
     path = os.path.join(dataset_dir, "sensor.yaml")
     if not os.path.isfile(path):
-        return
+        return cfg
     import yaml
     try:
         with open(path) as f:
@@ -104,13 +106,14 @@ def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> None:
             cfg.priors.gyro_bias_std = float(imu["gyro_bias_std"])
     except (yaml.YAMLError, TypeError, ValueError) as e:
         raise DatasetError(f"malformed sensor.yaml: {e}") from e
+    return cfg
 
 
 def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
                  supervisor_on: bool = True) -> RunOutputs:
     scans, imu, gt = load_dataset(dataset_dir)
     os.makedirs(out_dir, exist_ok=True)
-    _apply_sensor_spec(dataset_dir, cfg)
+    cfg = _apply_sensor_spec(dataset_dir, cfg)
     noise = cfg.imu.to_params()
     imu_times = np.array([s.timestamp for s in imu])
 
@@ -124,7 +127,6 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
     obs_log = ObservabilityLog()
     sup = Supervisor(cfg.supervisor.hold_time)
     lio_traj, s2s_traj, unified, extr_trace = [], [], [], []
-    optimize_times = []
 
     wheel = None
     if gt is not None:
@@ -168,7 +170,6 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
                 meas = Gap(prev_t, t, "missing scan")
             sm.add_keyframe(t, delta, meas)
             sm.optimize()
-            optimize_times.append(sm.last_optimize_seconds)
             sm.marginalize()
 
             if isinstance(meas, Gap) or not meas.converged:
@@ -199,7 +200,7 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
     _write_outputs(out_dir, cfg, lio_traj, s2s_traj, wheel, unified,
                    extr_trace, obs_log, sup)
     return RunOutputs(lio_traj, s2s_traj, wheel or [], unified, extr_trace,
-                      obs_log, sup, optimize_times)
+                      obs_log, sup)
 
 
 def _write_outputs(out_dir, cfg, lio, s2s, wheel, unified, extr_trace,

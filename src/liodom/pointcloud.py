@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -78,9 +78,6 @@ class SpatialIndex:
     def nearest(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d, i = self.knn(query, 1)
         return d[..., 0], i[..., 0]
-
-    def radius(self, query: np.ndarray, r: float) -> list:
-        return self._tree.query_ball_point(np.asarray(query, dtype=float), r)
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:

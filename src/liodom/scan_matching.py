@@ -8,12 +8,11 @@ translation) inflated along geometrically degenerate directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, compose, skew, so3_exp, so3_log
+from .geometry import Pose, so3_exp
 from .observability import EIG_FLOOR_REL
 from .pointcloud import PointCloud, build_index
 
@@ -105,7 +104,6 @@ def match(source: PointCloud, target: PointCloud, init: Pose,
     src_n = source.normals if source.has_normals else None
     cos_compat = np.cos(params.normal_compat_angle)
 
-    prev_cost = np.inf
     iterations = 0
     converged = False
     J = r = w = None
@@ -156,7 +154,6 @@ def match(source: PointCloud, target: PointCloud, init: Pose,
                 and np.linalg.norm(step * delta[:3]) < params.rotation_epsilon):
             converged = True
             break
-        prev_cost = cost
 
     covariance = _icp_covariance(J, r, w)
     return RelativePoseMeasurement(
@@ -213,39 +210,3 @@ def _icp_covariance(J: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
     cov[:3, 3:] = 0.0
     cov[3:, :3] = 0.0
     return 0.5 * (cov + cov.T)
-
-
-def scan_to_scan_odometry(
-    clouds: Iterable[PointCloud],
-    params: IcpParams,
-    attitude_provider: Callable[[float], np.ndarray] | None = None,
-    extrinsics: Pose | None = None,
-) -> Iterator[RelativePoseMeasurement | Gap]:
-    """Match each consecutive pair of (normal-equipped) scans.
-
-    `attitude_provider(t)` returns the IMU body attitude used for the
-    gravity-aligned initial guess; without one the guess is identity.
-    """
-    extrinsics = extrinsics or Pose.identity()
-    prev: PointCloud | None = None
-    for cloud in clouds:
-        if prev is not None and cloud.timestamp <= prev.timestamp:
-            raise ValueError("scan timestamps must be strictly increasing")
-        if len(cloud) < MIN_CLOUD_POINTS:
-            if prev is not None:
-                yield Gap(prev.timestamp, cloud.timestamp, "degenerate scan")
-            prev = None
-            continue
-        if prev is not None:
-            if attitude_provider is not None:
-                init = gravity_align_guess(attitude_provider(cloud.timestamp),
-                                           extrinsics,
-                                           attitude_provider(prev.timestamp))
-            else:
-                init = Pose.identity()
-            m = match(cloud, prev, init, params)
-            if m.converged:
-                yield m
-            else:
-                yield Gap(prev.timestamp, cloud.timestamp, "icp did not converge")
-        prev = cloud

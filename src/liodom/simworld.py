@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import Pose, rot_to_quat, rot_z, so3_log
 from .pointcloud import PointCloud, save_csv
-from .preintegration import (GRAVITY_W, ImuBias, ImuNoiseParams, ImuSample,
+from .preintegration import (ImuBias, ImuNoiseParams, ImuSample,
                              save_imu_csv)
 
 

@@ -2,28 +2,25 @@
 
 Fuses preintegrated IMU factors with lidar relative-pose factors over a
 trailing time window, keeps the lidar-to-body extrinsics in the state
-(online calibration), marginalizes old states into a linearized Gaussian
-prior, and serves high-rate output by IMU propagation from the newest
-optimized keyframe.
+(online calibration), and marginalizes old states into a linearized
+Gaussian prior.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .factors import (BA, BG, P, STATE_DIM, T_E, THETA, THETA_E, V,
-                      BiasWalkFactor, ExtrinsicsWalkFactor, Factor, ImuFactor,
+from .factors import (BA, BG, STATE_DIM, T_E, V, BiasWalkFactor,
+                      ExtrinsicsWalkFactor, Factor, ImuFactor,
                       LidarRelativeFactor, LinearizedPriorFactor,
                       PriorExtrinsicRotationFactor, PriorPoseFactor,
                       PriorVectorFactor, StateNode)
-from .geometry import Pose, so3_exp
-from .preintegration import (GRAVITY_W, ImuBias, ImuNoiseParams, ImuSample,
-                             PreintegratedDelta, correct_for_bias,
-                             integrate_window, predict)
+from .geometry import Pose
+from .preintegration import (ImuBias, ImuNoiseParams, PreintegratedDelta,
+                             correct_for_bias, predict)
 from .scan_matching import Gap, RelativePoseMeasurement
 
 
@@ -32,7 +29,6 @@ class WindowConfig:
     lag: float = 3.0                       # seconds
     max_gn_iterations: int = 10
     convergence_epsilon: float = 1e-6
-    output_rate: float = 200.0             # Hz cap for high-rate output
 
     def __post_init__(self):
         if self.lag <= 0:
@@ -55,8 +51,6 @@ class PriorConfig:
 
 
 class FixedLagSmoother:
-    """One writer mutates the window; the latest optimized snapshot serves
-    high-rate queries."""
 
     def __init__(self, window: WindowConfig, noise: ImuNoiseParams,
                  init_extrinsics: Pose, priors: PriorConfig | None = None,
@@ -71,10 +65,6 @@ class FixedLagSmoother:
         self.states: list[StateNode] = []
         self.factors: list[Factor] = []
         self.healthy = True
-        self.last_optimize_seconds = 0.0
-        self._imu_buffer: list[ImuSample] = []
-        self._snapshot: StateNode | None = None
-        self._last_output_time = -np.inf
 
     # ------------------------------------------------------------------ window
 
@@ -128,8 +118,6 @@ class FixedLagSmoother:
                               + [pr.extr_walk_trans_std**2] * 3)))
             if isinstance(lidar, RelativePoseMeasurement) and lidar.converged:
                 self.factors.append(LidarRelativeFactor(i, j, lidar))
-        self._snapshot = self.states[-1]
-        self._imu_buffer = [s for s in self._imu_buffer if s.timestamp >= t - 0.2]
 
     # ---------------------------------------------------------------- optimize
 
@@ -137,23 +125,26 @@ class FixedLagSmoother:
         states = self.states if states is None else states
         return sum(f.cost(states) for f in self.factors)
 
-    def _assemble(self) -> tuple[np.ndarray, np.ndarray, float]:
-        n = len(self.states) * STATE_DIM
+    def _assemble(self, factors: list[Factor], pos, n_blocks: int
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Gauss-Newton system (H, g, cost) of the whitened factors at the
+        current states, with state i in block pos[i] of n_blocks."""
+        n = n_blocks * STATE_DIM
         H = np.zeros((n, n))
         g = np.zeros(n)
         cost = 0.0
-        for f in self.factors:
+        for f in factors:
             wr, wJ = f.whitened(self.states)
             cost += float(wr @ wr)
-            items = list(wJ.items())
-            for a, (ia, Ja) in enumerate(items):
-                sa = slice(ia * STATE_DIM, (ia + 1) * STATE_DIM)
+            items = [(pos[i], J) for i, J in wJ.items()]
+            for a, (ka, Ja) in enumerate(items):
+                sa = slice(ka * STATE_DIM, (ka + 1) * STATE_DIM)
                 g[sa] += Ja.T @ wr
-                for ib, Jb in items[a:]:
-                    sb = slice(ib * STATE_DIM, (ib + 1) * STATE_DIM)
+                for kb, Jb in items[a:]:
+                    sb = slice(kb * STATE_DIM, (kb + 1) * STATE_DIM)
                     block = Ja.T @ Jb
                     H[sa, sb] += block
-                    if ia != ib:
+                    if ka != kb:
                         H[sb, sa] += block.T
         return H, g, cost
 
@@ -162,13 +153,13 @@ class FixedLagSmoother:
         best-so-far iterate and flags degraded health on non-convergence."""
         if not self.states:
             raise ValueError("empty window")
-        t_start = time.perf_counter()
+        n = len(self.states)
         lam = 0.0
         cost = np.inf
         converged = False
         any_accepted = False
         for _ in range(self.window.max_gn_iterations):
-            H, g, cost = self._assemble()
+            H, g, cost = self._assemble(self.factors, range(n), n)
             accepted = False
             for _ in range(8):
                 Hd = H + lam * np.diag(np.maximum(np.diag(H), 1e-6))
@@ -197,9 +188,7 @@ class FixedLagSmoother:
         else:
             converged = any_accepted
         # a window where no step could be accepted is reported as degraded
-        self.healthy = converged or len(self.states) == 1
-        self._snapshot = self.states[-1]
-        self.last_optimize_seconds = time.perf_counter() - t_start
+        self.healthy = converged or n == 1
         return cost
 
     # ------------------------------------------------------------- marginalize
@@ -223,21 +212,7 @@ class FixedLagSmoother:
                                 if i not in dropped})
         order = list(range(n_drop)) + involved_keep
         pos = {i: k for k, i in enumerate(order)}
-        n = len(order) * STATE_DIM
-        H = np.zeros((n, n))
-        g = np.zeros(n)
-        for f in marg_factors:
-            wr, wJ = f.whitened(self.states)
-            items = [(pos[i], J) for i, J in wJ.items()]
-            for a, (ka, Ja) in enumerate(items):
-                sa = slice(ka * STATE_DIM, (ka + 1) * STATE_DIM)
-                g[sa] += Ja.T @ wr
-                for kb, Jb in items[a:]:
-                    sb = slice(kb * STATE_DIM, (kb + 1) * STATE_DIM)
-                    block = Ja.T @ Jb
-                    H[sa, sb] += block
-                    if ka != kb:
-                        H[sb, sa] += block.T
+        H, g, _ = self._assemble(marg_factors, pos, len(order))
         nd = n_drop * STATE_DIM
         H_dd = H[:nd, :nd] + 1e-10 * np.eye(nd)
         H_dk = H[:nd, nd:]
@@ -259,39 +234,6 @@ class FixedLagSmoother:
         for f in new_factors:
             f.indices = tuple(i - n_drop for i in f.indices)
         self.factors = new_factors
-
-    # ---------------------------------------------------------- high-rate out
-
-    def add_imu_sample(self, s: ImuSample) -> None:
-        self._imu_buffer.append(s)
-
-    def high_rate_output(self, t: float) -> tuple[Pose, np.ndarray, float]:
-        """Latest optimized keyframe propagated to t with buffered IMU.
-
-        The propagation base only changes at keyframes, so the output stream
-        stays continuous between optimizer updates.
-        """
-        if self._snapshot is None:
-            raise ValueError("no optimized state available")
-        base = self._snapshot
-        if t < base.timestamp:
-            raise ValueError("query predates the latest optimized state")
-        if t <= self._last_output_time:
-            raise ValueError("output timestamps must be strictly increasing")
-        self._last_output_time = t
-        samples = [s for s in self._imu_buffer
-                   if base.timestamp <= s.timestamp]
-        if t > base.timestamp and samples:
-            delta = integrate_window(samples, base.timestamp, t,
-                                     base.bias, self.noise)
-            R, p, v = predict(base.R_WB, base.p_WB, base.v_W, delta,
-                              self.noise.gravity)
-        elif t > base.timestamp:
-            self.healthy = False   # IMU dropout: freeze at the base state
-            R, p, v = base.R_WB, base.p_WB, base.v_W
-        else:
-            R, p, v = base.R_WB, base.p_WB, base.v_W
-        return Pose(R, p, "W", "B"), v, t
 
     # ---------------------------------------------------------------- queries
 

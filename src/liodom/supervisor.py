@@ -9,7 +9,7 @@ and gravity-aligned (yaw+translation stitching only).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

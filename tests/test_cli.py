@@ -1,23 +1,8 @@
 import os
-import shutil
 
 import numpy as np
-import pytest
 
 from liodom.cli import main
-
-
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    """A short stationary dataset shared by the CLI tests."""
-    d = str(tmp_path_factory.mktemp("ds") / "stationary")
-    assert main(["sim", "--preset", "stationary", "--seed", "1",
-                 "--out", d]) == 0
-    scans = sorted(os.listdir(os.path.join(d, "scans")),
-                   key=lambda s: int(s.split(".")[0]))
-    for f in scans[25:]:
-        os.remove(os.path.join(d, "scans", f))
-    return d
 
 
 def test_usage_errors_exit_1():
@@ -80,3 +65,20 @@ def test_stationary_estimate_stays_put(dataset, tmp_path):
     drift = max(np.linalg.norm(p.translation - traj[0][1].translation)
                 for _, p in traj)
     assert drift < 0.05
+
+
+def test_obs_threshold_from_config(dataset, tmp_path):
+    """The config's observability.threshold applies unless --threshold is
+    given. The stationary room has kappa near 3.7, so 2.0 flags every scan."""
+    from liodom.observability import load_observability_csv
+    cfg = tmp_path / "obs.yaml"
+    cfg.write_text("observability:\n  threshold: 2.0\n")
+    out = str(tmp_path / "obs_cfg")
+    assert main(["obs", dataset, "--config", str(cfg), "--out", out]) == 0
+    log = load_observability_csv(os.path.join(out, "observability.csv"))
+    assert len(log["warning"]) > 0 and log["warning"].all()
+    out = str(tmp_path / "obs_flag")
+    assert main(["obs", dataset, "--config", str(cfg), "--threshold", "10",
+                 "--out", out]) == 0
+    log = load_observability_csv(os.path.join(out, "observability.csv"))
+    assert not log["warning"].any()

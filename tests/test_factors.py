@@ -172,8 +172,6 @@ def test_linearized_prior_factor():
     # at the linearization point the residual is exactly -b
     assert np.allclose(f.residual(lin), -b)
     check_jacobians(f, [s.copy() for s in lin], atol=1e-6)
-    g = f.remap({0: 3, 1: 4})
-    assert g.indices == (3, 4)
 
 
 def test_whitened_cost_matches_mahalanobis():

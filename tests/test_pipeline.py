@@ -1,10 +1,19 @@
+import copy
+import os
+import shutil
+
 import numpy as np
 import pytest
+import yaml
 
+from liodom.config import PipelineConfig
+from liodom.evalkit import load_tum
 from liodom.geometry import rot_z, so3_exp
-from liodom.pipeline import (DatasetError, _imu_slice, attitude_from_gravity,
-                             load_dataset)
+from liodom.pipeline import (DatasetError, _apply_sensor_spec, _imu_slice,
+                             attitude_from_gravity, load_dataset, run_pipeline)
 from liodom.preintegration import GRAVITY_W, ImuSample
+from liodom.scan_matching import Gap, RelativePoseMeasurement
+from liodom.smoother import FixedLagSmoother
 
 
 def test_attitude_from_gravity_level():
@@ -50,3 +59,54 @@ def test_load_dataset_rejects_non_dataset(tmp_path):
     (tmp_path / "imu.csv").write_text("timestamp,ax,ay,az,gx,gy,gz\n")
     with pytest.raises(DatasetError, match="no scans"):
         load_dataset(str(tmp_path))
+
+
+def test_run_pipeline_leaves_caller_config_unchanged(dataset, tmp_path):
+    """The dataset's sensor.yaml applies to the run, not to the caller's
+    config, so a reused config does not carry it into the next run."""
+    cfg = PipelineConfig()
+    cfg.imu.accel_noise_density = 5e-2
+    cfg.imu.gyro_noise_density = 5e-3
+    cfg.priors.accel_bias_std = 0.3
+    cfg.priors.gyro_bias_std = 0.03
+    before = copy.deepcopy(cfg)
+    run_pipeline(dataset, cfg, str(tmp_path / "out"))
+    assert cfg == before
+    with open(os.path.join(dataset, "sensor.yaml")) as f:
+        spec = yaml.safe_load(f)["imu"]
+    used = _apply_sensor_spec(dataset, cfg)
+    assert used.imu.accel_noise_density == spec["accel_noise_density"]
+    assert used.imu.gyro_noise_density == spec["gyro_noise_density"]
+    assert used.priors.accel_bias_std == spec["accel_bias_std"]
+    assert used.priors.gyro_bias_std == spec["gyro_bias_std"]
+
+
+def test_tiny_scan_gives_gap_keyframes(dataset, tmp_path, monkeypatch):
+    """A scan with fewer than 20 points gives Gap keyframes into and out of
+    it, matching resumes on the next pair, and every trajectory still holds
+    one pose per scan."""
+    d = tmp_path / "ds"
+    shutil.copytree(dataset, d)
+    names = sorted(os.listdir(d / "scans"), key=lambda s: int(s.split(".")[0]))
+    tiny = d / "scans" / names[10]
+    tiny.write_text("".join(tiny.read_text().splitlines(True)[:6]))  # 5 points
+    seen = []
+    add_keyframe = FixedLagSmoother.add_keyframe
+
+    def record(self, t, delta, lidar):
+        seen.append(lidar)
+        add_keyframe(self, t, delta, lidar)
+
+    monkeypatch.setattr(FixedLagSmoother, "add_keyframe", record)
+    out = tmp_path / "out"
+    run_pipeline(str(d), PipelineConfig(), str(out))
+    assert len(seen) == len(names)
+    assert [k for k, m in enumerate(seen) if isinstance(m, Gap)] == [10, 11]
+    resumed = seen[12]
+    assert isinstance(resumed, RelativePoseMeasurement) and resumed.converged
+    assert resumed.timestamp_from == pytest.approx(
+        int(names[11].split(".")[0]) * 1e-9)
+    for name in ("lio", "scan_to_scan", "unified"):
+        assert len(load_tum(str(out / f"trajectory_{name}.txt"))) == len(names)
+    with open(out / "extrinsics.csv") as f:
+        assert len(f.read().strip().splitlines()) == len(names) + 1

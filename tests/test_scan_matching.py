@@ -3,9 +3,7 @@ import pytest
 
 from liodom.geometry import Pose, rot_z, so3_exp, so3_log
 from liodom.pointcloud import PointCloud, estimate_normals
-from liodom.scan_matching import (Gap, IcpParams, RelativePoseMeasurement,
-                                  gravity_align_guess, match,
-                                  scan_to_scan_odometry)
+from liodom.scan_matching import IcpParams, gravity_align_guess, match
 
 
 def room_cloud(rng, n_per_face=150, half=3.0, t=0.0, noise=0.0):
@@ -132,44 +130,17 @@ def test_gravity_align_guess():
     assert np.allclose(guess.translation, 0.0)
 
 
-def test_odometry_yields_measurements_and_gaps():
-    rng = np.random.default_rng(11)
-    base = room_cloud(rng)
-    clouds = [
-        base,
-        apply_pose(base, Pose(np.eye(3), [-0.05, 0, 0]), t=1.0),
-        PointCloud(2.0, rng.normal(size=(3, 3))),            # degenerate
-        apply_pose(base, Pose(np.eye(3), [-0.10, 0, 0]), t=3.0),
-        apply_pose(base, Pose(np.eye(3), [-0.15, 0, 0]), t=4.0),
-    ]
-    out = list(scan_to_scan_odometry(clouds, IcpParams()))
-    kinds = [type(o) for o in out]
-    assert kinds == [RelativePoseMeasurement, Gap, RelativePoseMeasurement]
-    assert out[1].reason == "degenerate scan"
-    assert out[2].timestamp_from == 3.0 and out[2].timestamp_to == 4.0
-
-
-def test_odometry_rejects_non_increasing_timestamps():
-    rng = np.random.default_rng(12)
-    base = room_cloud(rng)
-    clouds = [base, apply_pose(base, Pose.identity(), t=0.0)]
-    with pytest.raises(ValueError):
-        list(scan_to_scan_odometry(clouds, IcpParams()))
-
-
 def test_odometry_uses_attitude_provider():
     """A large pure rotation that plain ICP misses is recovered when the
-    initial guess comes from the attitude provider."""
+    initial guess comes from the IMU attitudes via gravity_align_guess."""
     rng = np.random.default_rng(13)
     base = room_cloud(rng)
-    yaw = 0.6
+    yaw = 1.0
     moved = apply_pose(base, Pose(rot_z(yaw), np.zeros(3)).inverse(), t=1.0)
-
-    def attitude(t):
-        return rot_z(yaw) if t >= 1.0 else np.eye(3)
-
-    out = list(scan_to_scan_odometry([base, moved], IcpParams(),
-                                     attitude_provider=attitude))
-    assert isinstance(out[0], RelativePoseMeasurement)
-    assert np.allclose(so3_log(out[0].transform.rotation), [0, 0, yaw],
+    plain = match(moved, base, Pose.identity(), IcpParams())
+    assert abs(so3_log(plain.transform.rotation)[2] - yaw) > 0.1
+    init = gravity_align_guess(rot_z(yaw), Pose.identity(), np.eye(3))
+    m = match(moved, base, init, IcpParams())
+    assert m.converged
+    assert np.allclose(so3_log(m.transform.rotation), [0, 0, yaw],
                        atol=5e-3)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from liodom.geometry import Pose, compose, rot_z, so3_log
-from liodom.preintegration import ImuBias, ImuNoiseParams, ImuSample, integrate_window
+from liodom.factors import (STATE_DIM, BiasWalkFactor, ExtrinsicsWalkFactor,
+                            ImuFactor, LidarRelativeFactor,
+                            LinearizedPriorFactor, PriorPoseFactor)
+from liodom.preintegration import ImuBias, ImuNoiseParams, integrate_window
 from liodom.scan_matching import Gap, RelativePoseMeasurement
 from liodom.simworld import TrajectorySpec, simulate_imu
-from liodom.smoother import FixedLagSmoother, PriorConfig, WindowConfig
+from liodom.smoother import FixedLagSmoother, WindowConfig
 
 TINY = ImuNoiseParams(accel_noise_density=1e-8, gyro_noise_density=1e-8,
                       accel_bias_walk=1e-8, gyro_bias_walk=1e-8)
@@ -39,7 +42,7 @@ def make_sequence(duration=10.0, kf_dt=0.5, extr=None, rate=200.0,
     return samples, gt, lidar
 
 
-def feed(sm, samples, gt, lidar, marginalize=True, noise=TINY):
+def feed(sm, samples, gt, lidar, marginalize=True, noise=TINY, optimize=True):
     times = np.array([s.timestamp for s in samples])
     trace = []
     for k, (t, _) in enumerate(gt):
@@ -52,7 +55,8 @@ def feed(sm, samples, gt, lidar, marginalize=True, noise=TINY):
             delta = integrate_window(samples[i0:i1], t_prev, t,
                                      sm.latest.bias, noise)
             sm.add_keyframe(t, delta, lidar[k - 1])
-        sm.optimize()
+        if optimize:
+            sm.optimize()
         if marginalize:
             sm.marginalize()
         trace.append((t, sm.latest.pose_WB()))
@@ -190,31 +194,40 @@ def test_gap_keyframe_keeps_running_on_imu():
     assert np.linalg.norm(sm.latest.p_WB - truth.translation) < 5e-3
 
 
-def test_high_rate_output_continuity():
-    samples, gt, lidar = make_sequence(duration=3.0)
-    sm = FixedLagSmoother(WindowConfig(lag=1e9), TINY, Pose(np.eye(3), np.zeros(3), "B", "L"))
-    for s in samples:
-        sm.add_imu_sample(s)
-    feed(sm, samples, gt, lidar, marginalize=False)
-    base_t = sm.latest.timestamp
-    ts = base_t + np.arange(1, 6) * 0.005
-    poses = [sm.high_rate_output(float(t))[0] for t in ts]
-    steps = [np.linalg.norm(b.translation - a.translation)
-             for a, b in zip(poses, poses[1:])]
-    assert max(steps) < 0.02
-    with pytest.raises(ValueError):
-        sm.high_rate_output(float(ts[0]))      # non-increasing query
-    with pytest.raises(ValueError):
-        sm.high_rate_output(base_t - 1.0)      # predates the snapshot
+@pytest.mark.parametrize("lag, prior_kind", [(1e9, PriorPoseFactor),
+                                              (1.0, LinearizedPriorFactor)])
+def test_assemble_matches_dense_jacobian_oracle(lag, prior_kind):
+    """H, g and cost equal J^T J, J^T r and r^T r of the dense stacked
+    whitened Jacobian, with the states placed in permuted blocks as
+    marginalize places them."""
+    noise = ImuNoiseParams(accel_noise_density=1e-3, gyro_noise_density=1e-4,
+                           accel_bias_walk=1e-5, gyro_bias_walk=1e-5)
+    samples, gt, lidar = make_sequence(duration=3.0, noise=noise,
+                                       lidar_cov=1e-4)
+    sm = FixedLagSmoother(WindowConfig(lag=lag), noise,
+                          Pose(np.eye(3), np.zeros(3), "B", "L"))
+    # assembled at the IMU-predicted states; no solve is needed
+    feed(sm, samples, gt, lidar, noise=noise, optimize=False)
+    kinds = {type(f) for f in sm.factors}
+    assert {ImuFactor, BiasWalkFactor, ExtrinsicsWalkFactor,
+            LidarRelativeFactor, prior_kind} <= kinds
+    n = len(sm.states)
+    pos = {i: k for k, i in enumerate(np.random.default_rng(0).permutation(n))}
+    H, g, cost = sm._assemble(sm.factors, pos, n)
 
-
-def test_high_rate_output_flags_imu_dropout():
-    sm = FixedLagSmoother(WindowConfig(), TINY, Pose(np.eye(3), np.zeros(3), "B", "L"))
-    sm.add_keyframe(0.0, None, None)
-    sm.optimize()
-    pose, v, t = sm.high_rate_output(0.1)
-    assert not sm.healthy
-    assert np.allclose(pose.translation, 0.0)
+    rows, res = [], []
+    for f in sm.factors:
+        wr, wJ = f.whitened(sm.states)
+        J = np.zeros((len(wr), n * STATE_DIM))
+        for i, Ji in wJ.items():
+            J[:, pos[i] * STATE_DIM:(pos[i] + 1) * STATE_DIM] = Ji
+        rows.append(J)
+        res.append(wr)
+    J, r = np.vstack(rows), np.concatenate(res)
+    H_ref, g_ref = J.T @ J, J.T @ r
+    assert np.allclose(H, H_ref, rtol=0, atol=1e-12 * np.abs(H_ref).max())
+    assert np.allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
+    assert cost == pytest.approx(r @ r, rel=1e-12)
 
 
 def test_window_config_validation():
