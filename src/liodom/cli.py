@@ -39,16 +39,12 @@ def cmd_sim(preset, seed, out_dir):
 @click.argument("dataset", type=click.Path(exists=True, file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None,
-              help="Override the config seed.")
 @click.option("--supervisor", type=click.Choice(["on", "off"]), default="on",
               show_default=True)
-def cmd_run(dataset, config_path, out_dir, seed, supervisor):
+def cmd_run(dataset, config_path, out_dir, supervisor):
     """Run the full pipeline on a dataset directory."""
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    run_pipeline(dataset, cfg, out_dir, supervisor_on=(supervisor == "on"))
+    run_pipeline(dataset, load_config(config_path), out_dir,
+                 supervisor_on=(supervisor == "on"))
     click.echo(f"outputs written to {out_dir}")
 
 

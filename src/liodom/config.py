@@ -44,8 +44,6 @@ class ObservabilityConfig:
 class SupervisorConfig:
     hold_time: float = 0.5
     priorities: dict = field(default_factory=lambda: {"lio": 0, "wheel": 1})
-    wheel_vel_noise_std: float = 0.02
-    wheel_yaw_drift_rate: float = 0.002
 
 
 @dataclass
@@ -57,7 +55,6 @@ class ExtrinsicsConfig:
 
 @dataclass
 class PipelineConfig:
-    seed: int = 0
     icp: IcpParams = field(default_factory=IcpParams)
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     imu: ImuConfig = field(default_factory=ImuConfig)

@@ -1,15 +1,15 @@
 """End-to-end run: dataset in, trajectories and logs out.
 
 Front-end (downsample, normals, observability, scan-to-scan ICP) feeds the
-fixed-lag smoother; a wheel-inertial analog and the switching supervisor
-produce the unified output alongside the raw estimator trajectories.
+fixed-lag smoother; the dataset's wheel-inertial odometry, when it has one,
+and the switching supervisor produce the unified output alongside the raw
+estimator trajectories.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .observability import ObservabilityLog, assess
 from .pointcloud import PointCloud, estimate_normals, load_csv, voxel_downsample
 from .preintegration import ImuSample, integrate_window, load_imu_csv
 from .scan_matching import Gap, gravity_align_guess, match
-from .simworld import wheel_inertial_trajectory, write_tum
+from .simworld import write_tum
 from .smoother import FixedLagSmoother
 from .supervisor import SourceStatus, Supervisor
 
@@ -44,9 +44,11 @@ def attitude_from_gravity(mean_accel: np.ndarray) -> np.ndarray:
 
 
 def load_dataset(dataset_dir: str):
+    """(scan paths in time order, IMU samples, wheel-inertial poses or None
+    when the dataset has no wheel.csv)."""
     scans_dir = os.path.join(dataset_dir, "scans")
     imu_path = os.path.join(dataset_dir, "imu.csv")
-    gt_path = os.path.join(dataset_dir, "ground_truth.csv")
+    wheel_path = os.path.join(dataset_dir, "wheel.csv")
     if not (os.path.isdir(scans_dir) and os.path.isfile(imu_path)):
         raise DatasetError(f"not a dataset directory: {dataset_dir}")
     scan_files = sorted(os.listdir(scans_dir), key=lambda s: int(s.split(".")[0]))
@@ -54,8 +56,8 @@ def load_dataset(dataset_dir: str):
         raise DatasetError("dataset has no scans")
     scans = [os.path.join(scans_dir, f) for f in scan_files]
     imu = load_imu_csv(imu_path)
-    gt = load_tum(gt_path) if os.path.isfile(gt_path) else None
-    return scans, imu, gt
+    wheel = load_tum(wheel_path) if os.path.isfile(wheel_path) else None
+    return scans, imu, wheel
 
 
 def _preprocess(cloud: PointCloud, cfg: PipelineConfig) -> PointCloud | None:
@@ -71,17 +73,6 @@ def _imu_slice(imu: list[ImuSample], times: np.ndarray,
     i0 = max(int(np.searchsorted(times, t0, side="right")) - 1, 0)
     i1 = int(np.searchsorted(times, t1, side="left"))
     return imu[i0:i1]
-
-
-@dataclass
-class RunOutputs:
-    lio: list            # [(t, Pose)]
-    scan_to_scan: list
-    wheel: list
-    unified: list
-    extrinsics: list     # [(t, Pose)]
-    obs_log: ObservabilityLog
-    supervisor: Supervisor
 
 
 def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> PipelineConfig:
@@ -110,8 +101,8 @@ def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> PipelineConfig:
 
 
 def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
-                 supervisor_on: bool = True) -> RunOutputs:
-    scans, imu, gt = load_dataset(dataset_dir)
+                 supervisor_on: bool = True) -> None:
+    scans, imu, wheel = load_dataset(dataset_dir)
     os.makedirs(out_dir, exist_ok=True)
     cfg = _apply_sensor_spec(dataset_dir, cfg)
     noise = cfg.imu.to_params()
@@ -128,12 +119,7 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
     sup = Supervisor(cfg.supervisor.hold_time)
     lio_traj, s2s_traj, unified, extr_trace = [], [], [], []
 
-    wheel = None
-    if gt is not None:
-        wheel = wheel_inertial_trajectory(
-            gt, cfg.seed + 9173,
-            vel_noise_std=cfg.supervisor.wheel_vel_noise_std,
-            yaw_drift_rate=cfg.supervisor.wheel_yaw_drift_rate)
+    if wheel:
         wheel_times = np.array([t for t, _ in wheel])
 
     def wheel_pose(t: float) -> Pose:
@@ -183,7 +169,7 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
         extr_trace.append((t, node.extrinsics_BL()))
         s2s_traj.append((t, compose(T_WL_s2s, init_extr.inverse())))
 
-        if supervisor_on and wheel is not None:
+        if supervisor_on and wheel:
             sup.report(SourceStatus("lio", t, 10.0,
                                     observability_warning=warning,
                                     input_health=sm.healthy,
@@ -197,14 +183,12 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
 
         prev_cloud, prev_t = cloud, t
 
-    _write_outputs(out_dir, cfg, lio_traj, s2s_traj, wheel, unified,
-                   extr_trace, obs_log, sup)
-    return RunOutputs(lio_traj, s2s_traj, wheel or [], unified, extr_trace,
-                      obs_log, sup)
+    _write_outputs(out_dir, lio_traj, s2s_traj, wheel, unified, extr_trace,
+                   obs_log, sup)
 
 
-def _write_outputs(out_dir, cfg, lio, s2s, wheel, unified, extr_trace,
-                   obs_log, sup) -> None:
+def _write_outputs(out_dir, lio, s2s, wheel, unified, extr_trace, obs_log,
+                   sup) -> None:
     from .geometry import rot_to_quat
     write_tum(os.path.join(out_dir, "trajectory_lio.txt"), lio)
     write_tum(os.path.join(out_dir, "trajectory_scan_to_scan.txt"), s2s)

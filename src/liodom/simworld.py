@@ -183,7 +183,6 @@ class TrajectorySpec:
         self._pos = CubicSpline(self.times, self.positions, bc_type=bc)
         self._yaw = CubicSpline(self.times, self.yaws, bc_type=((1, 0.0), (1, 0.0)))
         self._vel = self._pos.derivative(1)
-        self._acc = self._pos.derivative(2)
         self._yaw_rate = self._yaw.derivative(1)
 
     @property
@@ -195,9 +194,6 @@ class TrajectorySpec:
 
     def velocity(self, t: float) -> np.ndarray:
         return self._vel(t)
-
-    def acceleration(self, t: float) -> np.ndarray:
-        return self._acc(t)
 
     def angular_velocity_body(self, t: float) -> np.ndarray:
         # yaw-only attitude: body rate is the yaw rate about z
@@ -231,6 +227,11 @@ def simulate_imu(traj: TrajectorySpec, noise: ImuNoiseParams, bias: ImuBias,
     return samples
 
 
+# the wheel noise keeps one seed for every dataset seed, as the recorded
+# benchmark runs had it
+WHEEL_SEED = 9173
+
+
 def wheel_inertial_trajectory(gt: list[tuple[float, Pose]], seed: int,
                               vel_noise_std: float = 0.02,
                               yaw_drift_rate: float = 0.002,
@@ -240,7 +241,7 @@ def wheel_inertial_trajectory(gt: list[tuple[float, Pose]], seed: int,
     rng = np.random.default_rng(seed)
     t0, pose0 = gt[0]
     t_end = gt[-1][0]
-    times = [t for t, _ in gt]
+    times = np.array([t for t, _ in gt])
     positions = np.array([p.translation for _, p in gt])
     yaws = np.unwrap([np.arctan2(p.rotation[1, 0], p.rotation[0, 0])
                       for _, p in gt])
@@ -494,17 +495,20 @@ def make_preset(name: str, seed: int) -> Preset:
 # ------------------------------------------------------------------- datasets
 
 
-def write_tum(path: str, rows: list[tuple[float, Pose]]) -> None:
+def write_tum(path: str, rows: list[tuple[float, Pose]],
+              exact: bool = False) -> None:
+    """TUM rows `t tx ty tz qx qy qz qw` with 9 decimals, or, if exact, with
+    the shortest text that reads back as the same float."""
+    fmt = repr if exact else "{:.9f}".format
     with open(path, "w") as f:
         for t, pose in rows:
-            q = rot_to_quat(pose.rotation)
-            tx, ty, tz = pose.translation
-            f.write(f"{t:.9f} {tx:.9f} {ty:.9f} {tz:.9f} "
-                    f"{q[0]:.9f} {q[1]:.9f} {q[2]:.9f} {q[3]:.9f}\n")
+            vals = (t, *pose.translation, *rot_to_quat(pose.rotation))
+            f.write(" ".join(fmt(float(v)) for v in vals) + "\n")
 
 
 def generate_dataset(preset: Preset, seed: int, out_dir: str) -> str:
-    """Write world.json, calib.txt, imu.csv, ground_truth.csv and scans/.
+    """Write world.json, calib.txt, imu.csv, sensor.yaml, ground_truth.csv,
+    wheel.csv and scans/.
 
     Deterministic given (preset, seed).
     """
@@ -534,6 +538,10 @@ def generate_dataset(preset: Preset, seed: int, out_dir: str) -> str:
     gt_times = np.arange(preset.traj.times[0], preset.traj.times[-1], 0.01)
     gt = [(float(t), preset.traj.pose(float(t))) for t in gt_times]
     write_tum(os.path.join(out_dir, "ground_truth.csv"), gt)
+    # exact floats: the pipeline picks the first wheel pose at or after each
+    # scan time, and rounded times would move that pick where the two meet
+    write_tum(os.path.join(out_dir, "wheel.csv"),
+              wheel_inertial_trajectory(gt, WHEEL_SEED), exact=True)
 
     scan_times = np.arange(preset.traj.times[0], preset.traj.times[-1],
                            1.0 / preset.lidar.rate)

@@ -22,6 +22,13 @@ def test_broken_dataset_exits_2(tmp_path):
     assert main(["run", str(broken), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_run_has_no_seed_flag(dataset, tmp_path):
+    """The pipeline has no randomness of its own to seed; the simulator's
+    seed is `liodom sim --seed`."""
+    assert main(["run", dataset, "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 1
+
+
 def test_bad_config_exits_2(dataset, tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("frontend:\n  voxels: 0.1\n")

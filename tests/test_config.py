@@ -18,7 +18,7 @@ def test_none_path_gives_defaults():
 
 def test_roundtrip_identity(tmp_path):
     cfg = PipelineConfig()
-    cfg.seed = 7
+    cfg.supervisor.hold_time = 0.7
     cfg.icp.max_iterations = 17
     cfg.frontend.voxel_size = 0.25
     cfg.window.lag = 4.5
@@ -33,9 +33,10 @@ def test_roundtrip_identity(tmp_path):
 
 def test_partial_override(tmp_path):
     path = tmp_path / "cfg.yaml"
-    path.write_text("seed: 3\nicp:\n  cost_variant: gicp\n")
+    path.write_text("observability:\n  threshold: 3.0\n"
+                    "icp:\n  cost_variant: gicp\n")
     cfg = load_config(str(path))
-    assert cfg.seed == 3
+    assert cfg.observability.threshold == 3.0
     assert cfg.icp.cost_variant == "gicp"
     assert cfg.window.lag == PipelineConfig().window.lag
 
@@ -47,6 +48,13 @@ def test_unknown_key_rejected(tmp_path):
         load_config(str(path))
     path.write_text("lidar_mode: fast\n")
     with pytest.raises(ConfigError, match="lidar_mode"):
+        load_config(str(path))
+    # simulator settings are not pipeline settings
+    path.write_text("seed: 0\n")
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(str(path))
+    path.write_text("supervisor:\n  wheel_vel_noise_std: 0.02\n")
+    with pytest.raises(ConfigError, match="wheel_vel_noise_std"):
         load_config(str(path))
 
 

@@ -110,3 +110,41 @@ def test_tiny_scan_gives_gap_keyframes(dataset, tmp_path, monkeypatch):
         assert len(load_tum(str(out / f"trajectory_{name}.txt"))) == len(names)
     with open(out / "extrinsics.csv") as f:
         assert len(f.read().strip().splitlines()) == len(names) + 1
+
+
+OUTPUTS = ("trajectory_lio.txt", "trajectory_scan_to_scan.txt",
+           "trajectory_wheel.txt", "trajectory_unified.txt",
+           "observability.csv", "switches.csv", "extrinsics.csv")
+
+
+def test_run_does_not_read_ground_truth(dataset, tmp_path):
+    """Deleting ground_truth.csv changes no output byte: the estimator runs
+    on the sensors and the wheel odometry alone."""
+    d = tmp_path / "ds"
+    shutil.copytree(dataset, d)
+    os.remove(d / "ground_truth.csv")
+    run_pipeline(dataset, PipelineConfig(), str(tmp_path / "with_gt"))
+    run_pipeline(str(d), PipelineConfig(), str(tmp_path / "without_gt"))
+    for name in OUTPUTS:
+        assert (tmp_path / "with_gt" / name).read_bytes() \
+            == (tmp_path / "without_gt" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("wheel_csv", ["absent", "empty"])
+def test_no_wheel_odometry_gives_lio_as_unified(dataset, tmp_path, wheel_csv):
+    """Without wheel poses there is nothing to switch to: no wheel
+    trajectory, the unified output is the LIO one, and no switch is logged."""
+    d = tmp_path / "ds"
+    shutil.copytree(dataset, d)
+    if wheel_csv == "absent":
+        os.remove(d / "wheel.csv")
+        assert load_dataset(str(d))[2] is None
+    else:
+        (d / "wheel.csv").write_text("")
+    out = tmp_path / "out"
+    run_pipeline(str(d), PipelineConfig(), str(out))
+    assert not (out / "trajectory_wheel.txt").exists()
+    assert (out / "trajectory_unified.txt").read_bytes() \
+        == (out / "trajectory_lio.txt").read_bytes()
+    assert (out / "switches.csv").read_text().splitlines() \
+        == ["time,from,to,reason"]

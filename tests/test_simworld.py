@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from liodom.geometry import Pose, rot_z, so3_exp
+from liodom.evalkit import load_tum
+from liodom.geometry import Pose, quat_to_rot, rot_to_quat, rot_z, so3_exp
 from liodom.preintegration import GRAVITY_W, ImuBias, ImuNoiseParams
 from liodom.simworld import (LidarModel, Patch, Preset, TrajectorySpec,
                              WorldModel, box, corridor_world, generate_dataset,
@@ -205,6 +206,7 @@ def test_generate_dataset_layout_and_determinism(tmp_path):
         assert os.path.isfile(os.path.join(d, "calib.txt"))
         assert os.path.isfile(os.path.join(d, "imu.csv"))
         assert os.path.isfile(os.path.join(d, "ground_truth.csv"))
+        assert os.path.isfile(os.path.join(d, "wheel.csv"))
         assert os.path.isfile(os.path.join(d, "sensor.yaml"))
         assert len(os.listdir(os.path.join(d, "scans"))) > 0
 
@@ -217,3 +219,23 @@ def test_generate_dataset_layout_and_determinism(tmp_path):
     assert read(d1, os.path.join("scans", first_scan)) \
         == read(d2, os.path.join("scans", first_scan))
     assert read(d1, "imu.csv") != read(d3, "imu.csv")
+
+
+def test_wheel_csv_roundtrips_exactly(tmp_path):
+    """wheel.csv carries the wheel-inertial poses built from the in-memory
+    ground truth with every float exact: times and positions read back
+    bit-equal, and rotations equal what their written quaternion gives.
+    The wheel seed is 9173 whatever the dataset seed."""
+    preset = make_preset("corridor", 0)
+    preset.traj.times = np.array([preset.traj.times[0], 3.0])
+    d = generate_dataset(preset, 5, str(tmp_path / "ds"))
+    gt = [(float(t), preset.traj.pose(float(t)))
+          for t in np.arange(preset.traj.times[0], preset.traj.times[-1], 0.01)]
+    expected = wheel_inertial_trajectory(gt, 9173)
+    loaded = load_tum(os.path.join(d, "wheel.csv"))
+    assert len(loaded) == len(expected) > 100
+    for (t, pose), (t_ref, ref) in zip(loaded, expected):
+        assert t == t_ref
+        assert np.array_equal(pose.translation, ref.translation)
+        assert np.array_equal(pose.rotation,
+                              quat_to_rot(rot_to_quat(ref.rotation)))
