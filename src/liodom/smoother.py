@@ -50,6 +50,44 @@ class PriorConfig:
     extr_walk_trans_std: float = 1e-4
 
 
+# upper bandwidth of a block-tridiagonal H with STATE_DIM x STATE_DIM blocks
+BAND = 2 * STATE_DIM - 1
+
+
+def _band(D: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """LAPACK upper band storage, ab[BAND + i - j, j] = H[i, j], of the
+    symmetric block-tridiagonal H with diagonal blocks D and super-diagonal
+    blocks U."""
+    ab = np.zeros((BAND + 1, len(D), STATE_DIM))
+    r, c = np.triu_indices(STATE_DIM)
+    ab[BAND + r - c, :, c] = D[:, r, c].T
+    r, c = np.indices((STATE_DIM, STATE_DIM)).reshape(2, -1)
+    ab[STATE_DIM - 1 + r - c, 1:, c] = U[:, r, c].T
+    return ab.reshape(BAND + 1, -1)
+
+
+def _dense(D: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The symmetric block-tridiagonal H as a dense matrix."""
+    n = len(D)
+    H = np.zeros((n, STATE_DIM, n, STATE_DIM))
+    k = np.arange(n)
+    H[k, :, k] = D
+    H[k[:-1], :, k[1:]] = U
+    H[k[1:], :, k[:-1]] = U.transpose(0, 2, 1)
+    return H.reshape(n * STATE_DIM, n * STATE_DIM)
+
+
+def _gn_step(ab: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (H + lam * diag(max(diag(H), 1e-6))) delta = -g by banded
+    Cholesky, H given in upper band storage; raises LinAlgError when the
+    damped H is not positive definite."""
+    damped = ab.copy()
+    damped[-1] += lam * np.maximum(ab[-1], 1e-6)
+    c = scipy.linalg.cholesky_banded(damped, overwrite_ab=True,
+                                     check_finite=False)
+    return scipy.linalg.cho_solve_banded((c, False), -g, check_finite=False)
+
+
 class FixedLagSmoother:
 
     def __init__(self, window: WindowConfig, noise: ImuNoiseParams,
@@ -125,28 +163,34 @@ class FixedLagSmoother:
         states = self.states if states is None else states
         return sum(f.cost(states) for f in self.factors)
 
-    def _assemble(self, factors: list[Factor], pos, n_blocks: int
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Gauss-Newton system (H, g, cost) of the whitened factors at the
-        current states, with state i in block pos[i] of n_blocks."""
-        n = n_blocks * STATE_DIM
-        H = np.zeros((n, n))
-        g = np.zeros(n)
+    def _assemble(self, factors: list[Factor], first: int, n_blocks: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Gauss-Newton system of the whitened factors at the current states
+        first .. first + n_blocks - 1, as the diagonal blocks D[k], the
+        super-diagonal blocks U[k] (state k with k + 1), g and the cost.
+        The window is a chain, so these blocks are all of H."""
+        D = np.zeros((n_blocks, STATE_DIM, STATE_DIM))
+        U = np.zeros((n_blocks - 1, STATE_DIM, STATE_DIM))
+        g = np.zeros((n_blocks, STATE_DIM))
         cost = 0.0
         for f in factors:
+            if max(f.indices) - min(f.indices) > 1:
+                raise ValueError(f"{type(f).__name__} links non-adjacent "
+                                 f"states {f.indices}")
             wr, wJ = f.whitened(self.states)
             cost += float(wr @ wr)
-            items = [(pos[i], J) for i, J in wJ.items()]
+            items = [(i - first, J) for i, J in wJ.items()]
             for a, (ka, Ja) in enumerate(items):
-                sa = slice(ka * STATE_DIM, (ka + 1) * STATE_DIM)
-                g[sa] += Ja.T @ wr
+                g[ka] += Ja.T @ wr
                 for kb, Jb in items[a:]:
-                    sb = slice(kb * STATE_DIM, (kb + 1) * STATE_DIM)
                     block = Ja.T @ Jb
-                    H[sa, sb] += block
-                    if ka != kb:
-                        H[sb, sa] += block.T
-        return H, g, cost
+                    if ka == kb:
+                        D[ka] += block
+                    elif ka < kb:
+                        U[ka] += block
+                    else:
+                        U[kb] += block.T
+        return D, U, g.ravel(), cost
 
     def optimize(self) -> float:
         """Damped Gauss-Newton on the window; returns final cost. Keeps the
@@ -159,14 +203,13 @@ class FixedLagSmoother:
         converged = False
         any_accepted = False
         for _ in range(self.window.max_gn_iterations):
-            H, g, cost = self._assemble(self.factors, range(n), n)
+            D, U, g, cost = self._assemble(self.factors, 0, n)
+            ab = _band(D, U)
             accepted = False
             for _ in range(8):
-                Hd = H + lam * np.diag(np.maximum(np.diag(H), 1e-6))
                 try:
-                    delta = scipy.linalg.solve(Hd, -g, assume_a="pos",
-                                               check_finite=False)
-                except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+                    delta = _gn_step(ab, g, lam)
+                except np.linalg.LinAlgError:
                     lam = max(lam * 10.0, 1e-6)
                     continue
                 trial = [s.retract(delta[k * STATE_DIM:(k + 1) * STATE_DIM])
@@ -203,16 +246,11 @@ class FixedLagSmoother:
         n_drop = min(n_drop, len(self.states) - 1)
         if n_drop <= 0:
             return
-        dropped = set(range(n_drop))
-        marg_factors = [f for f in self.factors
-                        if any(i in dropped for i in f.indices)]
-        keep_factors = [f for f in self.factors
-                        if not any(i in dropped for i in f.indices)]
-        involved_keep = sorted({i for f in marg_factors for i in f.indices
-                                if i not in dropped})
-        order = list(range(n_drop)) + involved_keep
-        pos = {i: k for k, i in enumerate(order)}
-        H, g, _ = self._assemble(marg_factors, pos, len(order))
+        # chain factors: the dropped states reach only state n_drop
+        marg_factors = [f for f in self.factors if min(f.indices) < n_drop]
+        keep_factors = [f for f in self.factors if min(f.indices) >= n_drop]
+        D, U, g, _ = self._assemble(marg_factors, 0, n_drop + 1)
+        H = _dense(D, U)
         nd = n_drop * STATE_DIM
         H_dd = H[:nd, :nd] + 1e-10 * np.eye(nd)
         H_dk = H[:nd, nd:]
@@ -226,8 +264,7 @@ class FixedLagSmoother:
         A = (np.sqrt(lam)[:, None] * Vec.T)
         b = -(Vec / np.sqrt(lam)[None, :]).T @ g_marg
 
-        lin_states = [self.states[i] for i in involved_keep]
-        prior = LinearizedPriorFactor(tuple(involved_keep), lin_states, A, b)
+        prior = LinearizedPriorFactor((n_drop,), [self.states[n_drop]], A, b)
         new_factors = keep_factors + [prior]
         # reindex after removing the prefix
         self.states = self.states[n_drop:]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liodom.geometry import Pose, compose, rot_z, so3_log
 from liodom.factors import (STATE_DIM, BiasWalkFactor, ExtrinsicsWalkFactor,
@@ -8,7 +9,7 @@ from liodom.factors import (STATE_DIM, BiasWalkFactor, ExtrinsicsWalkFactor,
 from liodom.preintegration import ImuBias, ImuNoiseParams, integrate_window
 from liodom.scan_matching import Gap, RelativePoseMeasurement
 from liodom.simworld import TrajectorySpec, simulate_imu
-from liodom.smoother import FixedLagSmoother, WindowConfig
+from liodom.smoother import FixedLagSmoother, WindowConfig, _band, _gn_step
 
 TINY = ImuNoiseParams(accel_noise_density=1e-8, gyro_noise_density=1e-8,
                       accel_bias_walk=1e-8, gyro_bias_walk=1e-8)
@@ -23,13 +24,14 @@ def smooth_trajectory(duration=10.0):
 
 
 def make_sequence(duration=10.0, kf_dt=0.5, extr=None, rate=200.0,
-                  noise=TINY, lidar_cov=1e-6):
+                  noise=TINY, lidar_cov=1e-6, kf_times=None):
     """Noiseless IMU samples, exact lidar relative measurements, and ground
-    truth poses at the keyframe times."""
+    truth poses at the keyframe times (every kf_dt unless given)."""
     traj = smooth_trajectory(duration)
     extr = extr or Pose(np.eye(3), np.zeros(3), "B", "L")
     samples = simulate_imu(traj, noise, ImuBias(), rate)
-    kf_times = np.arange(0.0, duration + 1e-9, kf_dt)
+    if kf_times is None:
+        kf_times = np.arange(0.0, duration + 1e-9, kf_dt)
     gt = [(float(t), traj.pose(float(t))) for t in kf_times]
     lidar = []
     for (t0, T0), (t1, T1) in zip(gt, gt[1:]):
@@ -42,18 +44,22 @@ def make_sequence(duration=10.0, kf_dt=0.5, extr=None, rate=200.0,
     return samples, gt, lidar
 
 
-def feed(sm, samples, gt, lidar, marginalize=True, noise=TINY, optimize=True):
+def imu_delta(sm, samples, t0, t1, noise):
+    """The samples between keyframes t0 and t1, preintegrated at the bias of
+    the window's latest state."""
     times = np.array([s.timestamp for s in samples])
+    i0 = max(int(np.searchsorted(times, t0, "right")) - 1, 0)
+    i1 = int(np.searchsorted(times, t1, "left"))
+    return integrate_window(samples[i0:i1], t0, t1, sm.latest.bias, noise)
+
+
+def feed(sm, samples, gt, lidar, marginalize=True, noise=TINY, optimize=True):
     trace = []
     for k, (t, _) in enumerate(gt):
         if k == 0:
             sm.add_keyframe(t, None, None)
         else:
-            t_prev = gt[k - 1][0]
-            i0 = max(int(np.searchsorted(times, t_prev, "right")) - 1, 0)
-            i1 = int(np.searchsorted(times, t, "left"))
-            delta = integrate_window(samples[i0:i1], t_prev, t,
-                                     sm.latest.bias, noise)
+            delta = imu_delta(sm, samples, gt[k - 1][0], t, noise)
             sm.add_keyframe(t, delta, lidar[k - 1])
         if optimize:
             sm.optimize()
@@ -194,12 +200,25 @@ def test_gap_keyframe_keeps_running_on_imu():
     assert np.linalg.norm(sm.latest.p_WB - truth.translation) < 5e-3
 
 
+def dense_from_blocks(D, U):
+    """The symmetric H whose diagonal blocks are D and super-diagonal
+    blocks are U."""
+    n = len(D)
+    H = np.zeros((n * STATE_DIM, n * STATE_DIM))
+    blk = [slice(k * STATE_DIM, (k + 1) * STATE_DIM) for k in range(n)]
+    for k in range(n):
+        H[blk[k], blk[k]] = D[k]
+    for k in range(n - 1):
+        H[blk[k], blk[k + 1]] = U[k]
+        H[blk[k + 1], blk[k]] = U[k].T
+    return H
+
+
 @pytest.mark.parametrize("lag, prior_kind", [(1e9, PriorPoseFactor),
                                               (1.0, LinearizedPriorFactor)])
 def test_assemble_matches_dense_jacobian_oracle(lag, prior_kind):
-    """H, g and cost equal J^T J, J^T r and r^T r of the dense stacked
-    whitened Jacobian, with the states placed in permuted blocks as
-    marginalize places them."""
+    """The blocks of H, g and the cost equal J^T J, J^T r and r^T r of the
+    dense stacked whitened Jacobian."""
     noise = ImuNoiseParams(accel_noise_density=1e-3, gyro_noise_density=1e-4,
                            accel_bias_walk=1e-5, gyro_bias_walk=1e-5)
     samples, gt, lidar = make_sequence(duration=3.0, noise=noise,
@@ -212,15 +231,15 @@ def test_assemble_matches_dense_jacobian_oracle(lag, prior_kind):
     assert {ImuFactor, BiasWalkFactor, ExtrinsicsWalkFactor,
             LidarRelativeFactor, prior_kind} <= kinds
     n = len(sm.states)
-    pos = {i: k for k, i in enumerate(np.random.default_rng(0).permutation(n))}
-    H, g, cost = sm._assemble(sm.factors, pos, n)
+    D, U, g, cost = sm._assemble(sm.factors, 0, n)
+    H = dense_from_blocks(D, U)
 
     rows, res = [], []
     for f in sm.factors:
         wr, wJ = f.whitened(sm.states)
         J = np.zeros((len(wr), n * STATE_DIM))
         for i, Ji in wJ.items():
-            J[:, pos[i] * STATE_DIM:(pos[i] + 1) * STATE_DIM] = Ji
+            J[:, i * STATE_DIM:(i + 1) * STATE_DIM] = Ji
         rows.append(J)
         res.append(wr)
     J, r = np.vstack(rows), np.concatenate(res)
@@ -228,6 +247,66 @@ def test_assemble_matches_dense_jacobian_oracle(lag, prior_kind):
     assert np.allclose(H, H_ref, rtol=0, atol=1e-12 * np.abs(H_ref).max())
     assert np.allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
     assert cost == pytest.approx(r @ r, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_gn_step_matches_dense_solve(lam):
+    """The banded Cholesky step equals a dense solve of the damped normal
+    equations. H's condition number on this window is about 2e8, so the
+    rounding of either solver stays well inside the bound."""
+    noise = ImuNoiseParams(accel_noise_density=1e-2, gyro_noise_density=1e-3,
+                           accel_bias_walk=1e-4, gyro_bias_walk=1e-4)
+    samples, gt, lidar = make_sequence(duration=4.0, noise=noise,
+                                       lidar_cov=1e-3)
+    sm = FixedLagSmoother(WindowConfig(lag=2.0), noise,
+                          Pose(np.eye(3), np.zeros(3), "B", "L"))
+    feed(sm, samples, gt, lidar, noise=noise, optimize=False)
+    assert len(sm.states) >= 4
+    D, U, g, _ = sm._assemble(sm.factors, 0, len(sm.states))
+    H = dense_from_blocks(D, U)
+    Hd = H + lam * np.diag(np.maximum(np.diag(H), 1e-6))
+    expect = scipy.linalg.solve(Hd, -g, assume_a="pos")
+    delta = _gn_step(_band(D, U), g, lam)
+    assert np.linalg.norm(delta - expect) <= 1e-9 * np.linalg.norm(expect)
+
+
+def test_assemble_rejects_factor_off_the_band():
+    samples, gt, lidar = make_sequence(duration=2.0)
+    sm = FixedLagSmoother(WindowConfig(lag=1e9), TINY,
+                          Pose(np.eye(3), np.zeros(3), "B", "L"))
+    feed(sm, samples, gt[:3], lidar, marginalize=False, optimize=False)
+    sm.factors.append(BiasWalkFactor(0, 2, np.eye(6)))
+    with pytest.raises(ValueError, match="non-adjacent"):
+        sm._assemble(sm.factors, 0, 3)
+
+
+def test_marginalize_drops_several_states_at_once():
+    """A keyframe three periods after the last one drops three states in
+    one marginalize; their prior lands on the new oldest state alone, which
+    keeps H block-tridiagonal."""
+    noise = ImuNoiseParams(accel_noise_density=1e-3, gyro_noise_density=1e-4,
+                           accel_bias_walk=1e-5, gyro_bias_walk=1e-5)
+    samples, gt, lidar = make_sequence(duration=4.0, noise=noise,
+                                       lidar_cov=1e-4,
+                                       kf_times=[0.0, 0.5, 1.0, 2.5, 3.0])
+    sm = FixedLagSmoother(WindowConfig(lag=1.0), noise,
+                          Pose(np.eye(3), np.zeros(3), "B", "L"),
+                          init_R_WB=gt[0][1].rotation,
+                          init_p_WB=gt[0][1].translation)
+    feed(sm, samples, gt[:3], lidar, noise=noise)
+    assert len(sm.states) == 3
+    for k in (3, 4):
+        sm.add_keyframe(gt[k][0], imu_delta(sm, samples, gt[k - 1][0],
+                                            gt[k][0], noise), lidar[k - 1])
+        sm.optimize()
+        assert sm.healthy
+        sm.marginalize()
+        if k == 3:
+            assert len(sm.states) == 1
+    priors = [f for f in sm.factors if isinstance(f, LinearizedPriorFactor)]
+    assert len(priors) == 1 and priors[0].indices == (0,)
+    assert [s.timestamp for s in sm.states] == [2.5, 3.0]
+    assert np.linalg.norm(sm.latest.p_WB - gt[4][1].translation) < 1e-4
 
 
 def test_window_config_validation():
