@@ -45,6 +45,14 @@ class SupervisorConfig:
     hold_time: float = 0.5
     priorities: dict = field(default_factory=lambda: {"lio": 0, "wheel": 1})
 
+    def __post_init__(self):
+        # lower value = higher priority; bool is not accepted as an int
+        if (not isinstance(self.priorities, dict)
+                or not set(self.priorities) <= {"lio", "wheel"}
+                or any(type(v) is not int for v in self.priorities.values())):
+            raise ValueError("priorities must map 'lio' and/or 'wheel' to "
+                             f"integers, got {self.priorities!r}")
+
 
 @dataclass
 class ExtrinsicsConfig:

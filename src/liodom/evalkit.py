@@ -1,4 +1,5 @@
-"""Trajectory evaluation: association, RMSE, percent drift, kappa summaries."""
+"""TUM trajectory files and their evaluation: association, RMSE, percent
+drift, kappa summaries."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, compose, quat_to_rot
+from .geometry import Pose, compose, quat_to_rot, rot_to_quat
 
 
 def load_tum(path: str) -> list[tuple[float, Pose]]:
@@ -22,6 +23,17 @@ def load_tum(path: str) -> list[tuple[float, Pose]]:
             rows.append((t, Pose(quat_to_rot(np.array([qx, qy, qz, qw])),
                                  [tx, ty, tz])))
     return rows
+
+
+def write_tum(path: str, rows: list[tuple[float, Pose]],
+              exact: bool = False) -> None:
+    """TUM rows `t tx ty tz qx qy qz qw` with 9 decimals, or, if exact, with
+    the shortest text that reads back as the same float."""
+    fmt = repr if exact else "{:.9f}".format
+    with open(path, "w") as f:
+        for t, pose in rows:
+            vals = (t, *pose.translation, *rot_to_quat(pose.rotation))
+            f.write(" ".join(fmt(float(v)) for v in vals) + "\n")
 
 
 @dataclass

@@ -1,7 +1,6 @@
-"""Minimal SO(3)/SE(3) algebra shared by the whole pipeline.
+"""Minimal SO(3) algebra and rigid poses shared by the whole pipeline.
 
-Rotations are stored as 3x3 orthonormal numpy arrays; twists are 6-vectors
-ordered [rotation, translation].
+Rotations are stored as 3x3 orthonormal numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ class FrameMismatchError(ValueError):
 
 
 class NonPrincipalBranchError(ValueError):
-    """Raised by log() when the rotation angle is at (or beyond) pi."""
+    """Raised by so3_log() when the rotation angle is at (or beyond) pi."""
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -82,29 +81,6 @@ def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return np.eye(3) + 0.5 * K + ((1.0 - cot_half) / angle**2) * (K @ K)
 
 
-def _se3_V(phi: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3), i.e. the V matrix of the SE(3) exponential."""
-    angle = np.linalg.norm(phi)
-    K = skew(phi)
-    if angle < 1e-6:
-        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
-    return (
-        np.eye(3)
-        + ((1.0 - np.cos(angle)) / angle**2) * K
-        + ((angle - np.sin(angle)) / angle**3) * (K @ K)
-    )
-
-
-def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0, s], [0, 1.0, 0], [-s, 0, c]])
-
-
 def rot_z(a: float) -> np.ndarray:
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
@@ -141,14 +117,6 @@ def rot_to_quat(R: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:
-    return (
-        R.shape == (3, 3)
-        and np.linalg.norm(R.T @ R - np.eye(3)) < tol
-        and abs(np.linalg.det(R) - 1.0) < tol
-    )
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform mapping points in frame_child to frame_parent."""
@@ -166,12 +134,6 @@ class Pose:
     @staticmethod
     def identity(frame: str | None = None) -> "Pose":
         return Pose(np.eye(3), np.zeros(3), frame, frame)
-
-    def matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
 
     def inverse(self) -> "Pose":
         return Pose(self.rotation.T, -self.rotation.T @ self.translation,
@@ -193,17 +155,3 @@ def compose(a: Pose, b: Pose) -> Pose:
                 a.rotation @ b.translation + a.translation,
                 a.frame_parent, b.frame_child)
 
-
-def exp(xi: np.ndarray, frame_parent: str | None = None,
-        frame_child: str | None = None) -> Pose:
-    """SE(3) exponential of a twist [rot(3), trans(3)]."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    phi, rho = xi[:3], xi[3:]
-    return Pose(so3_exp(phi), _se3_V(phi) @ rho, frame_parent, frame_child)
-
-
-def log(T: Pose) -> np.ndarray:
-    """SE(3) logarithm; inverse of exp on the principal branch."""
-    phi = so3_log(T.rotation)
-    rho = np.linalg.solve(_se3_V(phi), T.translation)
-    return np.concatenate([phi, rho])

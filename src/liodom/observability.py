@@ -14,7 +14,7 @@ import numpy as np
 
 from .pointcloud import PointCloud
 
-EIG_FLOOR_REL = 1e-9   # relative eigenvalue floor below which A_tt counts as rank-deficient
+EIG_FLOOR_REL = 1e-9   # relative eigenvalue floor for a rank-deficient translational block
 
 
 class NoValidNormalsError(ValueError):
@@ -23,10 +23,7 @@ class NoValidNormalsError(ValueError):
 
 @dataclass
 class ObservabilityReport:
-    A: np.ndarray                       # 6x6, ordering [rotation, translation]
-    A_tt: np.ndarray                    # 3x3 translational block
     eigenvalues_tt: np.ndarray          # sorted descending
-    eigenvectors_tt: np.ndarray         # columns match eigenvalues_tt
     kappa_tt: float                     # >= 1, inf when rank-deficient
     least_observable_direction: np.ndarray
     warning: bool
@@ -52,8 +49,7 @@ def condition_number_tt(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     Returns (kappa, eigenvalues descending, eigenvector columns). kappa is
     +inf when the smallest eigenvalue falls under the relative floor.
     """
-    A_tt = A[3:, 3:]
-    w, v = np.linalg.eigh(A_tt)         # ascending
+    w, v = np.linalg.eigh(A[3:, 3:])    # ascending
     w, v = w[::-1], v[:, ::-1]
     lam_max, lam_min = abs(w[0]), abs(w[-1])
     if lam_min < EIG_FLOOR_REL * lam_max or lam_min == 0.0:
@@ -69,10 +65,7 @@ def assess(cloud: PointCloud, threshold: float = 10.0) -> ObservabilityReport:
     A = build_hessian(cloud)
     kappa, w, v = condition_number_tt(A)
     return ObservabilityReport(
-        A=A,
-        A_tt=A[3:, 3:],
         eigenvalues_tt=w,
-        eigenvectors_tt=v,
         kappa_tt=kappa,
         least_observable_direction=v[:, -1],
         warning=bool(kappa > threshold),

@@ -14,13 +14,12 @@ import os
 import numpy as np
 
 from .config import PipelineConfig
-from .evalkit import load_tum
+from .evalkit import load_tum, write_tum
 from .geometry import Pose, compose, rot_z, so3_exp
 from .observability import ObservabilityLog, assess
 from .pointcloud import PointCloud, estimate_normals, load_csv, voxel_downsample
 from .preintegration import ImuSample, integrate_window, load_imu_csv
 from .scan_matching import Gap, gravity_align_guess, match
-from .simworld import write_tum
 from .smoother import FixedLagSmoother
 from .supervisor import SourceStatus, Supervisor
 

@@ -80,10 +80,6 @@ class SpatialIndex:
         return d[..., 0], i[..., 0]
 
 
-def build_index(cloud: PointCloud) -> SpatialIndex:
-    return SpatialIndex(cloud)
-
-
 def estimate_normals(cloud: PointCloud, k: int = 10,
                      sensor_origin: np.ndarray | None = None) -> PointCloud:
     """Plane-fit normals from the k-neighborhood covariance.
@@ -95,7 +91,7 @@ def estimate_normals(cloud: PointCloud, k: int = 10,
     if len(cloud) < k or k < 3:
         raise ValueError(f"need at least k={k} >= 3 points, have {len(cloud)}")
     origin = np.zeros(3) if sensor_origin is None else np.asarray(sensor_origin, float)
-    index = build_index(cloud)
+    index = SpatialIndex(cloud)
     _, nbr = index.knn(cloud.points, k)
     neigh = cloud.points[nbr]                       # (N, k, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)

@@ -1,9 +1,9 @@
 """Scan-to-scan lidar odometry front-end.
 
-Aligns consecutive scans with point-to-plane ICP (or a GICP-style weighted
-variant) seeded by a gravity-aligned rotation guess from the IMU, and
-reports a relative pose with a 6x6 covariance (twist ordering: rotation,
-translation) inflated along geometrically degenerate directions.
+Aligns consecutive scans with point-to-plane ICP seeded by a
+gravity-aligned rotation guess from the IMU, and reports a relative pose
+with a 6x6 covariance (ordering: rotation, translation) inflated along
+geometrically degenerate directions.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import Pose, so3_exp
 from .observability import EIG_FLOOR_REL
-from .pointcloud import PointCloud, build_index
+from .pointcloud import PointCloud, SpatialIndex
 
 MIN_CLOUD_POINTS = 20
 MIN_CORRESPONDENCES = 10
@@ -37,17 +37,12 @@ class IcpParams:
     translation_epsilon: float = 1e-4        # m
     rotation_epsilon: float = 1e-4           # rad
     max_correspondence_distance: float = 0.3  # m
-    cost_variant: str = "point_to_plane"      # or "gicp"
-    robust_loss: str = "none"                 # or "huber"
-    huber_delta: float = 0.1
     normal_compat_angle: float = np.deg2rad(60.0)
 
     def __post_init__(self):
         if min(self.max_iterations, self.translation_epsilon,
                self.rotation_epsilon, self.max_correspondence_distance) <= 0:
             raise ValueError("ICP thresholds must be positive")
-        if self.cost_variant not in ("point_to_plane", "gicp"):
-            raise ValueError(f"unknown cost variant {self.cost_variant!r}")
 
 
 @dataclass
@@ -80,13 +75,6 @@ def gravity_align_guess(imu_attitude: np.ndarray, extrinsics: Pose,
     return Pose(R_BL.T @ R_rel_B @ R_BL, np.zeros(3))
 
 
-def _plane_covariances(cloud: PointCloud, eps: float = 1e-3) -> np.ndarray:
-    """GICP-style per-point covariance: thin disc normal to the surface."""
-    n = cloud.normals
-    outer = np.einsum("ni,nj->nij", n, n)
-    return np.eye(3)[None] - (1.0 - eps) * outer
-
-
 def match(source: PointCloud, target: PointCloud, init: Pose,
           params: IcpParams) -> RelativePoseMeasurement:
     """Estimate the transform mapping source points into the target frame."""
@@ -95,8 +83,7 @@ def match(source: PointCloud, target: PointCloud, init: Pose,
         return _unconverged(init, source, target, 0)
     if not target.has_normals:
         raise ValueError("target cloud needs normals for plane-based matching")
-    index = build_index(tgt)
-    tgt_cov = _plane_covariances(tgt) if params.cost_variant == "gicp" else None
+    index = SpatialIndex(tgt)
 
     R = init.rotation.copy()
     t = init.translation.copy()
@@ -106,7 +93,6 @@ def match(source: PointCloud, target: PointCloud, init: Pose,
 
     iterations = 0
     converged = False
-    J = r = w = None
     for iterations in range(1, params.max_iterations + 1):
         x = src @ R.T + t
         dist, idx = index.nearest(x)
@@ -119,19 +105,12 @@ def match(source: PointCloud, target: PointCloud, init: Pose,
         xi, qi, ni = x[keep], tgt.points[idx[keep]], tgt.normals[idx[keep]]
         r = np.einsum("ni,ni->n", ni, xi - qi)
         J = np.hstack([np.cross(xi, ni), ni])
-        w = np.ones(len(r))
-        if params.cost_variant == "gicp":
-            C = tgt_cov[idx[keep]]
-            sigma2 = np.einsum("ni,nij,nj->n", ni, C + 1e-3 * np.eye(3)[None], ni)
-            w = 1.0 / sigma2
-        if params.robust_loss == "huber":
-            absr = np.abs(r)
-            w = w * np.where(absr <= params.huber_delta, 1.0,
-                             params.huber_delta / np.maximum(absr, 1e-30))
-        cost = float(np.sum(w * r * r))
+        cost = float(np.sum(r * r))
 
-        H = (J * w[:, None]).T @ J
-        g = (J * w[:, None]).T @ r
+        # two distinct operands keep numpy on gemm; J.T @ J would take syrk,
+        # which rounds differently and moves trajectories by ~1e-6 m
+        H = J.T @ J.copy()
+        g = J.T @ r
         try:
             delta = -np.linalg.solve(H + 1e-9 * np.trace(H) / 6.0 * np.eye(6), g)
         except np.linalg.LinAlgError:
@@ -144,7 +123,7 @@ def match(source: PointCloud, target: PointCloud, init: Pose,
             t_try = t + step * delta[3:]
             x_try = src @ R_try.T + t_try
             r_try = np.einsum("ni,ni->n", ni, x_try[keep] - qi)
-            cost_try = float(np.sum(w * r_try * r_try))
+            cost_try = float(np.sum(r_try * r_try))
             if cost_try <= cost or step < 1.0 / 32:
                 break
             step *= 0.5
@@ -155,7 +134,7 @@ def match(source: PointCloud, target: PointCloud, init: Pose,
             converged = True
             break
 
-    covariance = _icp_covariance(J, r, w)
+    covariance = _icp_covariance(H, cost, len(r))
     return RelativePoseMeasurement(
         transform=Pose(R, t),
         covariance=covariance,
@@ -172,19 +151,18 @@ def _unconverged(T: Pose, source: PointCloud, target: PointCloud,
                                    source.timestamp, iterations, False)
 
 
-def _icp_covariance(J: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sigma^2 (J^T J)^-1 with eigenvalue flooring, then std x100 along
-    translational directions the scene does not constrain."""
-    H = (J * w[:, None]).T @ J
-    dof = max(len(r) - 6, 1)
-    sigma2 = CORRELATION_INFLATION * max(float(np.sum(w * r * r)) / dof, 1e-8)
+def _icp_covariance(H: np.ndarray, cost: float, n_corr: int) -> np.ndarray:
+    """sigma^2 H^-1 for the last iteration's H = J^T J and residual cost,
+    with eigenvalue flooring, then std x100 along translational directions
+    the scene does not constrain."""
+    dof = max(n_corr - 6, 1)
+    sigma2 = CORRELATION_INFLATION * max(cost / dof, 1e-8)
     lam, V = np.linalg.eigh(H)
     lam_floor = max(lam[-1], 1e-30) * EIG_FLOOR_REL
     inv_lam = 1.0 / np.maximum(lam, lam_floor)
     cov = sigma2 * (V * inv_lam[None, :]) @ V.T
 
-    A_tt = H[3:, 3:]
-    w_tt, v_tt = np.linalg.eigh(A_tt)
+    w_tt, v_tt = np.linalg.eigh(H[3:, 3:])
     ratios = max(w_tt[-1], 1e-30) / np.maximum(w_tt, 1e-30)
     # graduated discount: pattern locking biases the translation estimate
     # well before a direction becomes fully unobservable, so the reported

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .evalkit import write_tum
 from .geometry import Pose, rot_to_quat, rot_z, so3_log
 from .pointcloud import PointCloud, save_csv
 from .preintegration import (ImuBias, ImuNoiseParams, ImuSample,
@@ -48,13 +49,6 @@ class WorldModel:
         with open(path, "w") as f:
             json.dump(data, f, indent=1)
 
-    @staticmethod
-    def from_json(path: str) -> "WorldModel":
-        with open(path) as f:
-            data = json.load(f)
-        return WorldModel([Patch(d["corner"], d["e1"], d["e2"])
-                           for d in data["patches"]])
-
 
 def box(center, size) -> list[Patch]:
     """Axis-aligned box as 6 outward-facing patches."""
@@ -77,15 +71,6 @@ def room(center, size) -> list[Patch]:
     patches = box(center, size)
     # flip normals inward by swapping edge vectors
     return [Patch(p.corner, p.e2, p.e1) for p in patches]
-
-
-def raycast(world: WorldModel, origin: np.ndarray, direction: np.ndarray,
-            max_range: float) -> np.ndarray | None:
-    """Nearest patch intersection, or None on a miss."""
-    hits, _, mask = raycast_batch(world, np.asarray(origin, float),
-                                  np.asarray(direction, float)[None, :],
-                                  max_range)
-    return hits[0] if mask[0] else None
 
 
 def raycast_batch(world: WorldModel, origin: np.ndarray, dirs: np.ndarray,
@@ -183,7 +168,6 @@ class TrajectorySpec:
         self._pos = CubicSpline(self.times, self.positions, bc_type=bc)
         self._yaw = CubicSpline(self.times, self.yaws, bc_type=((1, 0.0), (1, 0.0)))
         self._vel = self._pos.derivative(1)
-        self._yaw_rate = self._yaw.derivative(1)
 
     @property
     def duration(self) -> float:
@@ -194,10 +178,6 @@ class TrajectorySpec:
 
     def velocity(self, t: float) -> np.ndarray:
         return self._vel(t)
-
-    def angular_velocity_body(self, t: float) -> np.ndarray:
-        # yaw-only attitude: body rate is the yaw rate about z
-        return np.array([0.0, 0.0, float(self._yaw_rate(t))])
 
 
 def simulate_imu(traj: TrajectorySpec, noise: ImuNoiseParams, bias: ImuBias,
@@ -493,17 +473,6 @@ def make_preset(name: str, seed: int) -> Preset:
 
 
 # ------------------------------------------------------------------- datasets
-
-
-def write_tum(path: str, rows: list[tuple[float, Pose]],
-              exact: bool = False) -> None:
-    """TUM rows `t tx ty tz qx qy qz qw` with 9 decimals, or, if exact, with
-    the shortest text that reads back as the same float."""
-    fmt = repr if exact else "{:.9f}".format
-    with open(path, "w") as f:
-        for t, pose in rows:
-            vals = (t, *pose.translation, *rot_to_quat(pose.rotation))
-            f.write(" ".join(fmt(float(v)) for v in vals) + "\n")
 
 
 def generate_dataset(preset: Preset, seed: int, out_dir: str) -> str:

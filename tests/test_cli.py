@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from liodom.cli import main
 
@@ -34,6 +35,22 @@ def test_bad_config_exits_2(dataset, tmp_path):
     cfg.write_text("frontend:\n  voxels: 0.1\n")
     assert main(["run", dataset, "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "supervisor:\n  priorities: {lio: high, wheel: 1}\n",
+    "supervisor:\n  priorities: {lidar: 5}\n",
+    "icp:\n  cost_variant: gicp\n",
+])
+def test_bad_config_value_exits_2_without_traceback(dataset, tmp_path, capsys,
+                                                    text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert main(["run", dataset, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
 
 
 def test_sim_run_eval_obs_pipeline(dataset, tmp_path):

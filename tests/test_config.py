@@ -34,10 +34,11 @@ def test_roundtrip_identity(tmp_path):
 def test_partial_override(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("observability:\n  threshold: 3.0\n"
-                    "icp:\n  cost_variant: gicp\n")
+                    "icp:\n  max_correspondence_distance: 0.2\n")
     cfg = load_config(str(path))
     assert cfg.observability.threshold == 3.0
-    assert cfg.icp.cost_variant == "gicp"
+    assert cfg.icp.max_correspondence_distance == 0.2
+    assert cfg.icp.max_iterations == PipelineConfig().icp.max_iterations
     assert cfg.window.lag == PipelineConfig().window.lag
 
 
@@ -56,6 +57,31 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("supervisor:\n  wheel_vel_noise_std: 0.02\n")
     with pytest.raises(ConfigError, match="wheel_vel_noise_std"):
         load_config(str(path))
+    # point-to-plane is the only ICP cost
+    for key, value in (("cost_variant", "gicp"), ("robust_loss", "huber"),
+                       ("huber_delta", 0.1)):
+        path.write_text(f"icp:\n  {key}: {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
+
+@pytest.mark.parametrize("priorities", [
+    "{lio: high, wheel: 1}",       # not an integer
+    "{lio: true}",                 # YAML bool, not an integer
+    "{lidar: 5}",                  # no such source
+    "[lio, wheel]",                # not a mapping
+])
+def test_bad_supervisor_priorities_rejected(tmp_path, priorities):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"supervisor:\n  priorities: {priorities}\n")
+    with pytest.raises(ConfigError, match="priorities"):
+        load_config(str(path))
+
+
+def test_partial_supervisor_priorities_accepted(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("supervisor:\n  priorities: {wheel: -1}\n")
+    assert load_config(str(path)).supervisor.priorities == {"wheel": -1}
 
 
 def test_invalid_value_rejected(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 
 from liodom.evalkit import (associate, evaluate, load_tum,
                             summarize_observability, write_errors_csv,
-                            write_eval_csv, write_obs_summary_csv)
+                            write_eval_csv, write_obs_summary_csv, write_tum)
 from liodom.geometry import Pose, rot_z
-from liodom.simworld import write_tum
 
 
 def straight_line(n=50, dt=0.1, speed=1.0, yaw=0.0):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liodom.pointcloud import (EmptyCloudError, PointCloud, SpatialIndex,
-                               build_index, estimate_normals, load_csv,
-                               save_csv, voxel_downsample)
+                               estimate_normals, load_csv, save_csv,
+                               voxel_downsample)
 
 
 def grid_plane(n=12, spacing=0.1, z=0.0):
@@ -33,7 +33,7 @@ def test_index_rejects_empty_cloud():
 def test_knn_against_brute_force():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(200, 3))
-    index = build_index(PointCloud(0.0, pts))
+    index = SpatialIndex(PointCloud(0.0, pts))
     queries = rng.normal(size=(20, 3))
     d, i = index.knn(queries, 5)
     for qi, q in enumerate(queries):
@@ -45,13 +45,13 @@ def test_knn_against_brute_force():
 
 def test_knn_tie_breaks_toward_smaller_index():
     pts = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
-    index = build_index(PointCloud(0.0, pts))
+    index = SpatialIndex(PointCloud(0.0, pts))
     _, i = index.knn(np.zeros(3), 4)
     assert list(i) == [0, 1, 2, 3]
 
 
 def test_nearest_single_query_shape():
-    index = build_index(PointCloud(0.0, np.eye(3)))
+    index = SpatialIndex(PointCloud(0.0, np.eye(3)))
     d, i = index.nearest(np.array([1.0, 0.05, 0.0]))
     assert i == 0 and d == pytest.approx(0.05)
 

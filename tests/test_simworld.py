@@ -1,18 +1,28 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from liodom.evalkit import load_tum
-from liodom.geometry import Pose, quat_to_rot, rot_to_quat, rot_z, so3_exp
+from liodom.geometry import (Pose, quat_to_rot, rot_to_quat, rot_z, so3_exp,
+                             so3_log)
 from liodom.preintegration import GRAVITY_W, ImuBias, ImuNoiseParams
 from liodom.simworld import (LidarModel, Patch, Preset, TrajectorySpec,
                              WorldModel, box, corridor_world, generate_dataset,
-                             make_preset, PRESET_NAMES, raycast, raycast_batch,
+                             make_preset, PRESET_NAMES, raycast_batch,
                              room, simulate_imu, simulate_scan,
                              wheel_inertial_trajectory)
 
 NOISE = ImuNoiseParams()
+
+
+def raycast_one(world, origin, direction, max_range):
+    """Nearest hit of one ray through raycast_batch, or None on a miss."""
+    hits, _, mask = raycast_batch(world, np.asarray(origin, float),
+                                  np.asarray(direction, float)[None, :],
+                                  max_range)
+    return hits[0] if mask[0] else None
 
 
 def test_patch_normal_is_unit_cross_product():
@@ -36,20 +46,20 @@ def test_room_normals_point_inward():
 
 def test_raycast_analytic_oracle():
     world = WorldModel([Patch([2.0, -1.0, -1.0], [0, 2.0, 0], [0, 0, 2.0])])
-    hit = raycast(world, np.zeros(3), np.array([1.0, 0, 0]), 10.0)
+    hit = raycast_one(world, np.zeros(3), np.array([1.0, 0, 0]), 10.0)
     assert np.allclose(hit, [2.0, 0, 0])
     # oblique ray: distance = 2 / cos(angle)
     d = np.array([np.cos(0.3), np.sin(0.3), 0.0])
-    hit = raycast(world, np.zeros(3), d, 10.0)
+    hit = raycast_one(world, np.zeros(3), d, 10.0)
     assert np.linalg.norm(hit) == pytest.approx(2.0 / np.cos(0.3))
 
 
 def test_raycast_miss_cases():
     world = WorldModel([Patch([2.0, -1.0, -1.0], [0, 2.0, 0], [0, 0, 2.0])])
-    assert raycast(world, np.zeros(3), np.array([-1.0, 0, 0]), 10.0) is None
-    assert raycast(world, np.zeros(3), np.array([1.0, 0, 0]), 1.5) is None
+    assert raycast_one(world, np.zeros(3), np.array([-1.0, 0, 0]), 10.0) is None
+    assert raycast_one(world, np.zeros(3), np.array([1.0, 0, 0]), 1.5) is None
     # ray passes outside the finite patch
-    assert raycast(world, np.array([0, 5.0, 0]), np.array([1.0, 0, 0]), 10.0) is None
+    assert raycast_one(world, np.array([0, 5.0, 0]), np.array([1.0, 0, 0]), 10.0) is None
 
 
 def test_raycast_picks_nearest_patch():
@@ -57,7 +67,7 @@ def test_raycast_picks_nearest_patch():
         Patch([4.0, -1.0, -1.0], [0, 2.0, 0], [0, 0, 2.0]),
         Patch([2.0, -1.0, -1.0], [0, 2.0, 0], [0, 0, 2.0]),
     ])
-    hit = raycast(world, np.zeros(3), np.array([1.0, 0, 0]), 10.0)
+    hit = raycast_one(world, np.zeros(3), np.array([1.0, 0, 0]), 10.0)
     assert hit[0] == pytest.approx(2.0)
 
 
@@ -69,7 +79,7 @@ def test_raycast_batch_matches_single():
     origin = np.array([5.0, 0.0, 1.0])
     pts, normals, mask = raycast_batch(world, origin, dirs, 8.0)
     for i in range(len(dirs)):
-        single = raycast(world, origin, dirs[i], 8.0)
+        single = raycast_one(world, origin, dirs[i], 8.0)
         if mask[i]:
             assert np.allclose(pts[i], single, atol=1e-9)
             assert np.linalg.norm(normals[i]) == pytest.approx(1.0)
@@ -177,7 +187,10 @@ def test_presets_all_constructible():
         for t in (0.0, 0.1, 0.25):
             t_abs = p.traj.times[0] + t
             assert np.linalg.norm(p.traj.velocity(t_abs)) < 1e-2, name
-            assert abs(p.traj.angular_velocity_body(t_abs)[2]) < 1e-2, name
+            # yaw-only attitude: finite-difference body rate about z
+            h = 1e-4
+            dR = p.traj.pose(t_abs).rotation.T @ p.traj.pose(t_abs + h).rotation
+            assert abs(so3_log(dR)[2] / h) < 1e-2, name
 
 
 def test_unknown_preset_rejected():
@@ -189,9 +202,11 @@ def test_world_json_roundtrip(tmp_path):
     world = corridor_world(np.random.default_rng(1))
     path = str(tmp_path / "world.json")
     world.to_json(path)
-    back = WorldModel.from_json(path)
-    assert len(back.patches) == len(world.patches)
-    for a, b in zip(world.patches, back.patches):
+    with open(path) as f:
+        back = [Patch(d["corner"], d["e1"], d["e2"])
+                for d in json.load(f)["patches"]]
+    assert len(back) == len(world.patches)
+    for a, b in zip(world.patches, back):
         assert np.allclose(a.corner, b.corner)
         assert np.allclose(a.normal, b.normal)
 

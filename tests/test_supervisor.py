@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liodom.geometry import Pose, compose, rot_x, rot_z
+from liodom.geometry import Pose, compose, rot_z, so3_exp
 from liodom.supervisor import (SourceStatus, Supervisor, SwitchEvent,
                                yaw_translation_stitch)
 
@@ -29,7 +29,7 @@ def test_stitch_makes_output_continuous():
 def test_stitch_preserves_gravity_alignment():
     """Stitching only applies yaw: a tilted previous output must not tilt
     the new source's gravity-aligned attitude."""
-    prev = Pose(rot_x(0.3) @ rot_z(0.5), np.array([1.0, 2.0, 0.0]))
+    prev = Pose(so3_exp([0.3, 0.0, 0.0]) @ rot_z(0.5), np.array([1.0, 2.0, 0.0]))
     new = Pose(rot_z(0.1), np.zeros(3))
     T = yaw_translation_stitch(prev, new)
     out = compose(T, new)
