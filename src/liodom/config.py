@@ -6,7 +6,7 @@ file is a valid config.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -22,22 +22,14 @@ class FrontendConfig:
 
 
 @dataclass
-class ImuConfig:
-    accel_noise_density: float = 2e-3
-    gyro_noise_density: float = 2e-4
-    accel_bias_walk: float = 1e-4
-    gyro_bias_walk: float = 1e-4
-    gravity: float = 9.81
-
-    def to_params(self) -> ImuNoiseParams:
-        return ImuNoiseParams(self.accel_noise_density, self.gyro_noise_density,
-                              self.accel_bias_walk, self.gyro_bias_walk,
-                              [0.0, 0.0, -self.gravity])
-
-
-@dataclass
 class ObservabilityConfig:
     threshold: float = 10.0
+
+    def __post_init__(self):
+        # a condition number is at least 1, so a threshold at or below 1
+        # would flag every scan; written so that NaN fails too
+        if not self.threshold > 1:
+            raise ValueError("observability threshold must exceed 1")
 
 
 @dataclass
@@ -65,7 +57,7 @@ class ExtrinsicsConfig:
 class PipelineConfig:
     icp: IcpParams = field(default_factory=IcpParams)
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    imu: ImuConfig = field(default_factory=ImuConfig)
+    imu: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     window: WindowConfig = field(default_factory=WindowConfig)
     priors: PriorConfig = field(default_factory=PriorConfig)
@@ -100,7 +92,7 @@ def _build(cls, data: dict, path: str):
 _SUBSECTIONS = {
     (PipelineConfig, "icp"): IcpParams,
     (PipelineConfig, "frontend"): FrontendConfig,
-    (PipelineConfig, "imu"): ImuConfig,
+    (PipelineConfig, "imu"): ImuNoiseParams,
     (PipelineConfig, "observability"): ObservabilityConfig,
     (PipelineConfig, "window"): WindowConfig,
     (PipelineConfig, "priors"): PriorConfig,
@@ -118,21 +110,3 @@ def load_config(path: str | None) -> PipelineConfig:
         raise ConfigError("config file must contain a mapping")
     return _build(PipelineConfig, data, "")
 
-
-def dumps_config(cfg: PipelineConfig) -> str:
-    def clean(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            obj = asdict(obj)
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if hasattr(obj, "item"):            # numpy scalar
-            return obj.item()
-        return obj
-    return yaml.safe_dump(clean(cfg), sort_keys=True)
-
-
-def save_config(cfg: PipelineConfig, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(dumps_config(cfg))

@@ -3,8 +3,8 @@
 Each window state has a 21-dimensional tangent space laid out as
 [theta(3), p(3), v(3), ba(3), bg(3), theta_ext(3), t_ext(3)].
 Rotations retract on the right (R <- R Exp(theta)); everything else is
-additive. Factors expose whitened residuals/Jacobians via their stored
-covariance.
+additive. Each factor computes its residual, and its Jacobians when asked,
+in one `evaluate`; the base class whitens them with the stored covariance.
 """
 
 from __future__ import annotations
@@ -14,14 +14,47 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import (Pose, skew, so3_exp, so3_log, so3_right_jacobian_inv)
-from .preintegration import (ImuBias, PreintegratedDelta, GRAVITY_W,
-                             residual as imu_residual,
-                             residual_jacobians as imu_residual_jacobians)
+from .geometry import (Pose, skew, so3_exp, so3_log, so3_right_jacobian,
+                       so3_right_jacobian_inv)
+from .preintegration import ImuBias, PreintegratedDelta, bias_corrected
 from .scan_matching import RelativePoseMeasurement
 
 STATE_DIM = 21
 THETA, P, V, BA, BG, THETA_E, T_E = 0, 3, 6, 9, 12, 15, 18
+BLOCKS = (THETA, P, V, BA, BG, THETA_E, T_E)
+_I3 = np.eye(3)
+
+
+def _diff(k: int, a: np.ndarray, b: np.ndarray, jacobians: bool = False
+          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Tangent difference from a to b of block k: Log(a^T b) on the
+    rotations THETA and THETA_E, b - a on the vectors. Returns it with its
+    Jacobians with respect to a and b, which are None unless asked for."""
+    if k not in (THETA, THETA_E):
+        return (b - a, -_I3, _I3) if jacobians else (b - a, None, None)
+    C = a.T @ b
+    r = so3_log(C)
+    if not jacobians:
+        return r, None, None
+    Jr_inv = so3_right_jacobian_inv(r)
+    return r, -Jr_inv @ C.T, Jr_inv
+
+
+def _stacked_diff(offsets: tuple[int, ...], a: list[np.ndarray],
+                  b: list[np.ndarray], jacobians: bool):
+    """_diff over the blocks at `offsets` (a[n] and b[n] are the blocks at
+    offsets[n]), stacked; the Jacobians with respect to a and b are
+    3 len(offsets) x STATE_DIM, or None unless asked for."""
+    rs = []
+    Ja = np.zeros((3 * len(offsets), STATE_DIM)) if jacobians else None
+    Jb = np.zeros((3 * len(offsets), STATE_DIM)) if jacobians else None
+    for n, (k, ak, bk) in enumerate(zip(offsets, a, b)):
+        r, dra, drb = _diff(k, ak, bk, jacobians)
+        rs.append(r)
+        if jacobians:
+            Ja[3 * n:3 * n + 3, k:k + 3] = dra
+            Jb[3 * n:3 * n + 3, k:k + 3] = drb
+    return np.concatenate(rs), Ja, Jb
 
 
 @dataclass
@@ -41,6 +74,11 @@ class StateNode:
                          self.v_W.copy(), self.bias, self.R_BL.copy(),
                          self.p_BL.copy())
 
+    def block(self, k: int) -> np.ndarray:
+        """The rotation or vector at tangent offset k."""
+        return (self.R_WB, self.p_WB, self.v_W, self.bias.accel_bias,
+                self.bias.gyro_bias, self.R_BL, self.p_BL)[k // 3]
+
     def retract(self, delta: np.ndarray) -> "StateNode":
         return StateNode(
             self.timestamp,
@@ -55,18 +93,8 @@ class StateNode:
 
     def local_coordinates(self, other: "StateNode") -> np.ndarray:
         """Tangent vector from self to other (inverse of retract to 1st order)."""
-        d = np.zeros(STATE_DIM)
-        d[THETA:THETA + 3] = so3_log(self.R_WB.T @ other.R_WB)
-        d[P:P + 3] = other.p_WB - self.p_WB
-        d[V:V + 3] = other.v_W - self.v_W
-        d[BA:BA + 3] = other.bias.accel_bias - self.bias.accel_bias
-        d[BG:BG + 3] = other.bias.gyro_bias - self.bias.gyro_bias
-        d[THETA_E:THETA_E + 3] = so3_log(self.R_BL.T @ other.R_BL)
-        d[T_E:T_E + 3] = other.p_BL - self.p_BL
-        return d
-
-    def pose_WB(self) -> Pose:
-        return Pose(self.R_WB, self.p_WB, "W", "B")
+        return np.concatenate([_diff(k, self.block(k), other.block(k))[0]
+                               for k in BLOCKS])
 
     def extrinsics_BL(self) -> Pose:
         return Pose(self.R_BL, self.p_BL, "B", "L")
@@ -83,20 +111,24 @@ def sqrt_info_from_cov(cov: np.ndarray) -> np.ndarray:
 
 
 class Factor:
-    """Base: residual(states) and jacobians(states) in raw (unwhitened) form."""
+    """A residual on the states `indices`, whitened by `sqrt_info`.
+    Subclasses implement `evaluate` only: `whitened` and `cost` are the
+    base class's for every factor."""
 
     indices: tuple[int, ...]
     sqrt_info: np.ndarray
 
-    def residual(self, states: list[StateNode]) -> np.ndarray:
+    def evaluate(self, states: list[StateNode], jacobians: bool
+                 ) -> tuple[np.ndarray, dict[int, np.ndarray] | None]:
+        """Raw residual and, if `jacobians`, its Jacobian with respect to
+        the tangent of each state in `indices` (else None)."""
         raise NotImplementedError
 
-    def jacobians(self, states: list[StateNode]) -> dict[int, np.ndarray]:
-        raise NotImplementedError
+    def residual(self, states: list[StateNode]) -> np.ndarray:
+        return self.evaluate(states, False)[0]
 
     def whitened(self, states: list[StateNode]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        r = self.residual(states)
-        J = self.jacobians(states)
+        r, J = self.evaluate(states, True)
         return self.sqrt_info @ r, {i: self.sqrt_info @ Ji for i, Ji in J.items()}
 
     def cost(self, states: list[StateNode]) -> float:
@@ -104,96 +136,86 @@ class Factor:
         return float(wr @ wr)
 
 
-class PriorPoseFactor(Factor):
-    def __init__(self, i: int, R0: np.ndarray, p0: np.ndarray, cov: np.ndarray):
+class PriorFactor(Factor):
+    """Prior on blocks of state i, given as {tangent offset: value}: a
+    rotation matrix at THETA or THETA_E, a 3-vector elsewhere."""
+
+    def __init__(self, i: int, values: dict[int, np.ndarray], cov: np.ndarray):
         self.indices = (i,)
-        self.R0, self.p0 = R0, np.asarray(p0, float)
+        self.values = {k: np.asarray(v, float) for k, v in values.items()}
         self.sqrt_info = sqrt_info_from_cov(cov)
 
-    def residual(self, states):
+    def evaluate(self, states, jacobians):
         s = states[self.indices[0]]
-        return np.concatenate([so3_log(self.R0.T @ s.R_WB), s.p_WB - self.p0])
-
-    def jacobians(self, states):
-        s = states[self.indices[0]]
-        J = np.zeros((6, STATE_DIM))
-        J[0:3, THETA:THETA + 3] = so3_right_jacobian_inv(
-            so3_log(self.R0.T @ s.R_WB))
-        J[3:6, P:P + 3] = np.eye(3)
-        return {self.indices[0]: J}
+        r, _, J = _stacked_diff(tuple(self.values), list(self.values.values()),
+                                [s.block(k) for k in self.values], jacobians)
+        return r, ({self.indices[0]: J} if jacobians else None)
 
 
-class PriorVectorFactor(Factor):
-    """Prior on a contiguous vector slice of the state tangent (v, biases, t_ext)."""
+class WalkFactor(Factor):
+    """Random walk of the blocks at `offsets` between states i and j: slowly
+    varying IMU biases, or extrinsics that act as a near-constant."""
 
-    def __init__(self, i: int, offset: int, value: np.ndarray, cov: np.ndarray):
-        self.indices = (i,)
-        self.offset = offset
-        self.value = np.asarray(value, float)
+    def __init__(self, i: int, j: int, offsets: tuple[int, ...], cov: np.ndarray):
+        self.indices = (i, j)
+        self.offsets = tuple(offsets)
         self.sqrt_info = sqrt_info_from_cov(cov)
 
-    def _extract(self, s: StateNode) -> np.ndarray:
-        return {
-            V: s.v_W,
-            BA: s.bias.accel_bias,
-            BG: s.bias.gyro_bias,
-            T_E: s.p_BL,
-        }[self.offset]
-
-    def residual(self, states):
-        return self._extract(states[self.indices[0]]) - self.value
-
-    def jacobians(self, states):
-        n = len(self.value)
-        J = np.zeros((n, STATE_DIM))
-        J[:, self.offset:self.offset + n] = np.eye(n)
-        return {self.indices[0]: J}
-
-
-class PriorExtrinsicRotationFactor(Factor):
-    def __init__(self, i: int, R0: np.ndarray, cov: np.ndarray):
-        self.indices = (i,)
-        self.R0 = R0
-        self.sqrt_info = sqrt_info_from_cov(cov)
-
-    def residual(self, states):
-        return so3_log(self.R0.T @ states[self.indices[0]].R_BL)
-
-    def jacobians(self, states):
-        J = np.zeros((3, STATE_DIM))
-        J[:, THETA_E:THETA_E + 3] = so3_right_jacobian_inv(self.residual(states))
-        return {self.indices[0]: J}
+    def evaluate(self, states, jacobians):
+        i, j = self.indices
+        r, Ji, Jj = _stacked_diff(self.offsets,
+                                  [states[i].block(k) for k in self.offsets],
+                                  [states[j].block(k) for k in self.offsets],
+                                  jacobians)
+        return r, ({i: Ji, j: Jj} if jacobians else None)
 
 
 class ImuFactor(Factor):
+    """Preintegrated IMU motion between states i and j: the 9-vector
+    [rotation, velocity, position] residual with the first-order bias
+    correction folded in, differentiated under right rotation and additive
+    vector perturbations."""
+
     def __init__(self, i: int, j: int, delta: PreintegratedDelta,
-                 gravity: np.ndarray = GRAVITY_W):
+                 gravity: np.ndarray):
         self.indices = (i, j)
         self.delta = delta
         self.gravity = np.asarray(gravity, float)
         self.sqrt_info = sqrt_info_from_cov(delta.covariance)
 
-    def residual(self, states):
-        si, sj = states[self.indices[0]], states[self.indices[1]]
-        return imu_residual(si.R_WB, si.p_WB, si.v_W, si.bias,
-                            sj.R_WB, sj.p_WB, sj.v_W, self.delta, self.gravity)
-
-    def jacobians(self, states):
-        si, sj = states[self.indices[0]], states[self.indices[1]]
-        blocks = imu_residual_jacobians(si.R_WB, si.p_WB, si.v_W, si.bias,
-                                        sj.R_WB, sj.p_WB, sj.v_W,
-                                        self.delta, self.gravity)
+    def evaluate(self, states, jacobians):
+        i, j = self.indices
+        si, sj = states[i], states[j]
+        d, g = self.delta, self.gravity
+        dt = d.dt_total
+        R_i = si.R_WB
+        dR, dv, dp = bias_corrected(d, si.bias)
+        r_R = so3_log(dR.T @ R_i.T @ sj.R_WB)
+        u_v = R_i.T @ (sj.v_W - si.v_W - g * dt)
+        u_p = R_i.T @ (sj.p_WB - si.p_WB - si.v_W * dt - 0.5 * g * dt**2)
+        r = np.concatenate([r_R, u_v - dv, u_p - dp])
+        if not jacobians:
+            return r, None
+        Jr_inv = so3_right_jacobian_inv(r_R)
+        dbg = si.bias.gyro_bias - d.bias_lin.gyro_bias
         Ji = np.zeros((9, STATE_DIM))
         Jj = np.zeros((9, STATE_DIM))
-        Ji[:, THETA:THETA + 3] = blocks["theta_i"]
-        Ji[:, P:P + 3] = blocks["p_i"]
-        Ji[:, V:V + 3] = blocks["v_i"]
-        Ji[:, BA:BA + 3] = blocks["ba_i"]
-        Ji[:, BG:BG + 3] = blocks["bg_i"]
-        Jj[:, THETA:THETA + 3] = blocks["theta_j"]
-        Jj[:, P:P + 3] = blocks["p_j"]
-        Jj[:, V:V + 3] = blocks["v_j"]
-        return {self.indices[0]: Ji, self.indices[1]: Jj}
+        Ji[0:3, THETA:THETA + 3] = -Jr_inv @ sj.R_WB.T @ R_i
+        Ji[0:3, BG:BG + 3] = (-Jr_inv @ so3_exp(r_R).T
+                              @ so3_right_jacobian(d.dR_dbg @ dbg) @ d.dR_dbg)
+        Ji[3:6, THETA:THETA + 3] = skew(u_v)
+        Ji[3:6, V:V + 3] = -R_i.T
+        Ji[3:6, BA:BA + 3] = -d.dv_dba
+        Ji[3:6, BG:BG + 3] = -d.dv_dbg
+        Ji[6:9, THETA:THETA + 3] = skew(u_p)
+        Ji[6:9, P:P + 3] = -R_i.T
+        Ji[6:9, V:V + 3] = -R_i.T * dt
+        Ji[6:9, BA:BA + 3] = -d.dp_dba
+        Ji[6:9, BG:BG + 3] = -d.dp_dbg
+        Jj[0:3, THETA:THETA + 3] = Jr_inv
+        Jj[3:6, V:V + 3] = R_i.T
+        Jj[6:9, P:P + 3] = R_i.T
+        return r, {i: Ji, j: Jj}
 
 
 class LidarRelativeFactor(Factor):
@@ -211,24 +233,18 @@ class LidarRelativeFactor(Factor):
     def _lidar_pose(s: StateNode) -> tuple[np.ndarray, np.ndarray]:
         return s.R_WB @ s.R_BL, s.p_WB + s.R_WB @ s.p_BL
 
-    def residual(self, states):
-        si, sj = states[self.indices[0]], states[self.indices[1]]
+    def evaluate(self, states, jacobians):
+        i, j = self.indices
+        si, sj = states[i], states[j]
         R_WLi, t_WLi = self._lidar_pose(si)
         R_WLj, t_WLj = self._lidar_pose(sj)
-        R_pred = R_WLi.T @ R_WLj
-        t_pred = R_WLi.T @ (t_WLj - t_WLi)
-        return np.concatenate([so3_log(self.R_meas.T @ R_pred),
-                               t_pred - self.t_meas])
-
-    def jacobians(self, states):
-        si, sj = states[self.indices[0]], states[self.indices[1]]
-        R_WLi, t_WLi = self._lidar_pose(si)
-        R_WLj, t_WLj = self._lidar_pose(sj)
-        u = t_WLj - t_WLi
-        r_R = so3_log(self.R_meas.T @ (R_WLi.T @ R_WLj))
-        Jr_inv = so3_right_jacobian_inv(r_R)
         C = R_WLi.T @ R_WLj
-
+        t_pred = R_WLi.T @ (t_WLj - t_WLi)
+        r_R = so3_log(self.R_meas.T @ C)
+        r = np.concatenate([r_R, t_pred - self.t_meas])
+        if not jacobians:
+            return r, None
+        Jr_inv = so3_right_jacobian_inv(r_R)
         Ji = np.zeros((6, STATE_DIM))
         Jj = np.zeros((6, STATE_DIM))
         # rotation rows
@@ -237,7 +253,7 @@ class LidarRelativeFactor(Factor):
         Jj[0:3, THETA:THETA + 3] = Jr_inv @ sj.R_BL.T
         Jj[0:3, THETA_E:THETA_E + 3] = Jr_inv
         # translation rows
-        s_u = skew(R_WLi.T @ u)
+        s_u = skew(t_pred)
         Ji[3:6, THETA:THETA + 3] = s_u @ si.R_BL.T + si.R_BL.T @ skew(si.p_BL)
         Ji[3:6, THETA_E:THETA_E + 3] = s_u
         Ji[3:6, P:P + 3] = -R_WLi.T
@@ -245,77 +261,23 @@ class LidarRelativeFactor(Factor):
         Jj[3:6, THETA:THETA + 3] = -R_WLi.T @ sj.R_WB @ skew(sj.p_BL)
         Jj[3:6, P:P + 3] = R_WLi.T
         Jj[3:6, T_E:T_E + 3] = R_WLi.T @ sj.R_WB
-        return {self.indices[0]: Ji, self.indices[1]: Jj}
-
-
-class BiasWalkFactor(Factor):
-    """Random walk keeping IMU biases slowly varying between keyframes."""
-
-    def __init__(self, i: int, j: int, cov: np.ndarray):
-        self.indices = (i, j)
-        self.sqrt_info = sqrt_info_from_cov(cov)
-
-    def residual(self, states):
-        si, sj = states[self.indices[0]], states[self.indices[1]]
-        return sj.bias.as_vector() - si.bias.as_vector()
-
-    def jacobians(self, states):
-        Ji = np.zeros((6, STATE_DIM))
-        Jj = np.zeros((6, STATE_DIM))
-        Ji[0:3, BA:BA + 3] = -np.eye(3)
-        Ji[3:6, BG:BG + 3] = -np.eye(3)
-        Jj[0:3, BA:BA + 3] = np.eye(3)
-        Jj[3:6, BG:BG + 3] = np.eye(3)
-        return {self.indices[0]: Ji, self.indices[1]: Jj}
-
-
-class ExtrinsicsWalkFactor(Factor):
-    """Tight random walk making the per-state extrinsics act as a constant."""
-
-    def __init__(self, i: int, j: int, cov: np.ndarray):
-        self.indices = (i, j)
-        self.sqrt_info = sqrt_info_from_cov(cov)
-
-    def residual(self, states):
-        si, sj = states[self.indices[0]], states[self.indices[1]]
-        return np.concatenate([so3_log(si.R_BL.T @ sj.R_BL),
-                               sj.p_BL - si.p_BL])
-
-    def jacobians(self, states):
-        si, sj = states[self.indices[0]], states[self.indices[1]]
-        r_R = so3_log(si.R_BL.T @ sj.R_BL)
-        Jr_inv = so3_right_jacobian_inv(r_R)
-        C = si.R_BL.T @ sj.R_BL
-        Ji = np.zeros((6, STATE_DIM))
-        Jj = np.zeros((6, STATE_DIM))
-        Ji[0:3, THETA_E:THETA_E + 3] = -Jr_inv @ C.T
-        Jj[0:3, THETA_E:THETA_E + 3] = Jr_inv
-        Ji[3:6, T_E:T_E + 3] = -np.eye(3)
-        Jj[3:6, T_E:T_E + 3] = np.eye(3)
-        return {self.indices[0]: Ji, self.indices[1]: Jj}
+        return r, {i: Ji, j: Jj}
 
 
 class LinearizedPriorFactor(Factor):
-    """Gaussian prior produced by marginalization: r = A (x [-] x_lin) - b
-    stacked over the involved states."""
+    """Gaussian prior on state i produced by marginalization:
+    r = A (x [-] x_lin) - b."""
 
-    def __init__(self, indices: tuple[int, ...], lin_states: list[StateNode],
-                 A: np.ndarray, b: np.ndarray):
-        self.indices = tuple(indices)
-        self.lin_states = [s.copy() for s in lin_states]
+    def __init__(self, i: int, lin_state: StateNode, A: np.ndarray,
+                 b: np.ndarray):
+        self.indices = (i,)
+        self.lin_state = lin_state.copy()
         self.A = A
         self.b = b
         self.sqrt_info = np.eye(A.shape[0])   # A is already whitened
 
-    def residual(self, states):
-        d = np.concatenate([
-            lin.local_coordinates(states[i])
-            for i, lin in zip(self.indices, self.lin_states)])
-        return self.A @ d - self.b
-
-    def jacobians(self, states):
+    def evaluate(self, states, jacobians):
+        i = self.indices[0]
+        r = self.A @ self.lin_state.local_coordinates(states[i]) - self.b
         # first-order: d(local_coordinates)/d(retract) = I
-        out = {}
-        for k, i in enumerate(self.indices):
-            out[i] = self.A[:, k * STATE_DIM:(k + 1) * STATE_DIM]
-        return out
+        return r, ({i: self.A} if jacobians else None)

@@ -60,7 +60,7 @@ def condition_number_tt(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def assess(cloud: PointCloud, threshold: float = 10.0) -> ObservabilityReport:
-    if threshold <= 1:
+    if not threshold > 1:                  # NaN fails too
         raise ValueError("threshold must exceed 1")
     A = build_hessian(cloud)
     kappa, w, v = condition_number_tt(A)

@@ -8,8 +8,8 @@ estimator trajectories.
 
 from __future__ import annotations
 
-import copy
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -75,9 +75,8 @@ def _imu_slice(imu: list[ImuSample], times: np.ndarray,
 
 
 def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> PipelineConfig:
-    """Copy of cfg that adopts the dataset's IMU datasheet noise densities
+    """cfg with the dataset's IMU datasheet noise densities and bias priors
     when provided; cfg itself is left unchanged."""
-    cfg = copy.deepcopy(cfg)
     path = os.path.join(dataset_dir, "sensor.yaml")
     if not os.path.isfile(path):
         return cfg
@@ -85,18 +84,17 @@ def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> PipelineConfig:
     try:
         with open(path) as f:
             spec = yaml.safe_load(f) or {}
-        imu = spec.get("imu", {})
-        if "accel_noise_density" in imu:
-            cfg.imu.accel_noise_density = float(imu["accel_noise_density"])
-        if "gyro_noise_density" in imu:
-            cfg.imu.gyro_noise_density = float(imu["gyro_noise_density"])
-        if "accel_bias_std" in imu:
-            cfg.priors.accel_bias_std = float(imu["accel_bias_std"])
-        if "gyro_bias_std" in imu:
-            cfg.priors.gyro_bias_std = float(imu["gyro_bias_std"])
+        imu = spec.get("imu", {}) if isinstance(spec, dict) else None
+        if not isinstance(imu, dict):
+            raise ValueError("expected a mapping with an 'imu' mapping")
+        noise = {k: float(imu[k]) for k in
+                 ("accel_noise_density", "gyro_noise_density") if k in imu}
+        priors = {k: float(imu[k]) for k in
+                  ("accel_bias_std", "gyro_bias_std") if k in imu}
+        return replace(cfg, imu=replace(cfg.imu, **noise),
+                       priors=replace(cfg.priors, **priors))
     except (yaml.YAMLError, TypeError, ValueError) as e:
         raise DatasetError(f"malformed sensor.yaml: {e}") from e
-    return cfg
 
 
 def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
@@ -104,7 +102,6 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
     scans, imu, wheel = load_dataset(dataset_dir)
     os.makedirs(out_dir, exist_ok=True)
     cfg = _apply_sensor_spec(dataset_dir, cfg)
-    noise = cfg.imu.to_params()
     imu_times = np.array([s.timestamp for s in imu])
 
     t_first = int(os.path.basename(scans[0]).split(".")[0]) * 1e-9
@@ -113,7 +110,7 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
     init_extr = Pose(rot_z(cfg.extrinsics.yaw),
                      np.asarray(cfg.extrinsics.translation, float), "B", "L")
 
-    sm = FixedLagSmoother(cfg.window, noise, init_extr, cfg.priors, R0)
+    sm = FixedLagSmoother(cfg.window, cfg.imu, init_extr, cfg.priors, R0)
     obs_log = ObservabilityLog()
     sup = Supervisor(cfg.supervisor.hold_time)
     lio_traj, s2s_traj, unified, extr_trace = [], [], [], []
@@ -146,7 +143,7 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
             sm.optimize()
         else:
             delta = integrate_window(_imu_slice(imu, imu_times, prev_t, t),
-                                     prev_t, t, sm.latest.bias, noise)
+                                     prev_t, t, sm.latest.bias, cfg.imu)
             extr = sm.extrinsics_estimate()
             init = gravity_align_guess(delta.dR, extr, np.eye(3))
             if cloud is not None and prev_cloud is not None:

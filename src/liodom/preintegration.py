@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (skew, so3_exp, so3_log, so3_right_jacobian,
-                       so3_right_jacobian_inv)
-
-GRAVITY_W = np.array([0.0, 0.0, -9.81])
+from .geometry import skew, so3_exp, so3_right_jacobian
 
 
 @dataclass(frozen=True)
@@ -53,13 +50,19 @@ class ImuNoiseParams:
     gyro_noise_density: float = 2e-4      # rad/s/sqrt(Hz)
     accel_bias_walk: float = 1e-4
     gyro_bias_walk: float = 1e-4
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY_W.copy())
+    gravity: float = 9.81                 # m/s^2, magnitude
 
     def __post_init__(self):
-        if min(self.accel_noise_density, self.gyro_noise_density,
-               self.accel_bias_walk, self.gyro_bias_walk) <= 0:
-            raise ValueError("noise densities must be positive")
-        object.__setattr__(self, "gravity", np.asarray(self.gravity, float).reshape(3))
+        # written so that NaN fails too
+        if not all(x > 0 for x in (self.accel_noise_density,
+                                   self.gyro_noise_density, self.accel_bias_walk,
+                                   self.gyro_bias_walk, self.gravity)):
+            raise ValueError("noise densities and gravity must be positive")
+
+    @property
+    def gravity_W(self) -> np.ndarray:
+        """The gravity vector in the z-up world frame."""
+        return np.array([0.0, 0.0, -self.gravity])
 
 
 @dataclass
@@ -144,6 +147,16 @@ def integrate_window(samples: list[ImuSample], t0: float, t1: float,
     return d
 
 
+def bias_corrected(delta: PreintegratedDelta, bias: ImuBias
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dR, dv, dp) re-linearized to first order at `bias`."""
+    dbg = bias.gyro_bias - delta.bias_lin.gyro_bias
+    dba = bias.accel_bias - delta.bias_lin.accel_bias
+    return (delta.dR @ so3_exp(delta.dR_dbg @ dbg),
+            delta.dv + delta.dv_dbg @ dbg + delta.dv_dba @ dba,
+            delta.dp + delta.dp_dbg @ dbg + delta.dp_dba @ dba)
+
+
 def correct_for_bias(delta: PreintegratedDelta, new_bias: ImuBias) -> PreintegratedDelta:
     """First-order re-linearization at a new bias; no re-integration."""
     dbg = new_bias.gyro_bias - delta.bias_lin.gyro_bias
@@ -151,77 +164,21 @@ def correct_for_bias(delta: PreintegratedDelta, new_bias: ImuBias) -> Preintegra
     if max(np.linalg.norm(dbg), np.linalg.norm(dba)) > 0.1:
         warnings.warn("large bias update; first-order correction may be inaccurate")
     d = delta.copy()
-    d.dR = delta.dR @ so3_exp(delta.dR_dbg @ dbg)
-    d.dv = delta.dv + delta.dv_dbg @ dbg + delta.dv_dba @ dba
-    d.dp = delta.dp + delta.dp_dbg @ dbg + delta.dp_dba @ dba
+    d.dR, d.dv, d.dp = bias_corrected(delta, new_bias)
     d.bias_lin = new_bias
     return d
 
 
 def predict(R_i: np.ndarray, p_i: np.ndarray, v_i: np.ndarray,
             delta: PreintegratedDelta,
-            gravity: np.ndarray = GRAVITY_W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Propagate a state through the delta: returns (R_j, p_j, v_j)."""
+            gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Propagate a state through the delta under the world gravity vector:
+    returns (R_j, p_j, v_j)."""
     dt = delta.dt_total
     R_j = R_i @ delta.dR
     v_j = v_i + gravity * dt + R_i @ delta.dv
     p_j = p_i + v_i * dt + 0.5 * gravity * dt**2 + R_i @ delta.dp
     return R_j, p_j, v_j
-
-
-def residual(R_i, p_i, v_i, bias_i: ImuBias,
-             R_j, p_j, v_j,
-             delta: PreintegratedDelta,
-             gravity: np.ndarray = GRAVITY_W) -> np.ndarray:
-    """9-vector [rotation, velocity, position] residual of the IMU factor,
-    with first-order bias correction folded in."""
-    dt = delta.dt_total
-    dbg = bias_i.gyro_bias - delta.bias_lin.gyro_bias
-    dba = bias_i.accel_bias - delta.bias_lin.accel_bias
-    dR_corr = delta.dR @ so3_exp(delta.dR_dbg @ dbg)
-    dv_corr = delta.dv + delta.dv_dbg @ dbg + delta.dv_dba @ dba
-    dp_corr = delta.dp + delta.dp_dbg @ dbg + delta.dp_dba @ dba
-    r_R = so3_log(dR_corr.T @ R_i.T @ R_j)
-    r_v = R_i.T @ (v_j - v_i - gravity * dt) - dv_corr
-    r_p = R_i.T @ (p_j - p_i - v_i * dt - 0.5 * gravity * dt**2) - dp_corr
-    return np.concatenate([r_R, r_v, r_p])
-
-
-def residual_jacobians(R_i, p_i, v_i, bias_i: ImuBias,
-                       R_j, p_j, v_j,
-                       delta: PreintegratedDelta,
-                       gravity: np.ndarray = GRAVITY_W) -> dict[str, np.ndarray]:
-    """Analytic Jacobians of residual() w.r.t. right rotation perturbations
-    and additive world-frame vector perturbations.
-
-    Keys: theta_i, p_i, v_i, theta_j, p_j, v_j, ba_i, bg_i; each (9, 3).
-    """
-    dt = delta.dt_total
-    dbg = bias_i.gyro_bias - delta.bias_lin.gyro_bias
-    r = residual(R_i, p_i, v_i, bias_i, R_j, p_j, v_j, delta, gravity)
-    r_R = r[:3]
-    Jr_inv = so3_right_jacobian_inv(r_R)
-    u_v = v_j - v_i - gravity * dt
-    u_p = p_j - p_i - v_i * dt - 0.5 * gravity * dt**2
-
-    J = {k: np.zeros((9, 3)) for k in
-         ("theta_i", "p_i", "v_i", "theta_j", "p_j", "v_j", "ba_i", "bg_i")}
-    J["theta_i"][0:3] = -Jr_inv @ R_j.T @ R_i
-    J["theta_j"][0:3] = Jr_inv
-    J["bg_i"][0:3] = (-Jr_inv @ so3_exp(r_R).T
-                      @ so3_right_jacobian(delta.dR_dbg @ dbg) @ delta.dR_dbg)
-    J["theta_i"][3:6] = skew(R_i.T @ u_v)
-    J["v_i"][3:6] = -R_i.T
-    J["v_j"][3:6] = R_i.T
-    J["bg_i"][3:6] = -delta.dv_dbg
-    J["ba_i"][3:6] = -delta.dv_dba
-    J["theta_i"][6:9] = skew(R_i.T @ u_p)
-    J["p_i"][6:9] = -R_i.T
-    J["p_j"][6:9] = R_i.T
-    J["v_i"][6:9] = -R_i.T * dt
-    J["bg_i"][6:9] = -delta.dp_dbg
-    J["ba_i"][6:9] = -delta.dp_dba
-    return J
 
 
 def save_imu_csv(samples: list[ImuSample], path: str) -> None:

@@ -40,8 +40,10 @@ class IcpParams:
     normal_compat_angle: float = np.deg2rad(60.0)
 
     def __post_init__(self):
-        if min(self.max_iterations, self.translation_epsilon,
-               self.rotation_epsilon, self.max_correspondence_distance) <= 0:
+        # written so that NaN fails too
+        if not all(x > 0 for x in (self.max_iterations, self.translation_epsilon,
+                                   self.rotation_epsilon,
+                                   self.max_correspondence_distance)):
             raise ValueError("ICP thresholds must be positive")
 
 

@@ -191,7 +191,7 @@ def simulate_imu(traj: TrajectorySpec, noise: ImuNoiseParams, bias: ImuBias,
     """
     dt = 1.0 / rate
     times = np.arange(traj.times[0], traj.times[-1], dt)
-    g = noise.gravity
+    g = noise.gravity_W
     samples = []
     for t in times:
         t0, t1 = float(t), min(float(t) + dt, traj.times[-1])

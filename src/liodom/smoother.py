@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .factors import (BA, BG, STATE_DIM, T_E, V, BiasWalkFactor,
-                      ExtrinsicsWalkFactor, Factor, ImuFactor,
-                      LidarRelativeFactor, LinearizedPriorFactor,
-                      PriorExtrinsicRotationFactor, PriorPoseFactor,
-                      PriorVectorFactor, StateNode)
+from .factors import (BA, BG, P, STATE_DIM, T_E, THETA, THETA_E, V, Factor,
+                      ImuFactor, LidarRelativeFactor, LinearizedPriorFactor,
+                      PriorFactor, StateNode, WalkFactor)
 from .geometry import Pose
 from .preintegration import (ImuBias, ImuNoiseParams, PreintegratedDelta,
                              correct_for_bias, predict)
@@ -31,7 +29,7 @@ class WindowConfig:
     convergence_epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.lag <= 0:
+        if not self.lag > 0:                # NaN fails too
             raise ValueError("lag must be positive")
 
 
@@ -118,19 +116,20 @@ class FixedLagSmoother:
                              self.init_extrinsics.rotation.copy(),
                              self.init_extrinsics.translation.copy())
             self.states.append(node)
-            self.factors.append(PriorPoseFactor(
-                0, node.R_WB, node.p_WB,
-                np.diag([pr.pose_rot_std**2] * 3 + [pr.pose_trans_std**2] * 3)))
-            self.factors.append(PriorVectorFactor(
-                0, V, np.zeros(3), np.eye(3) * pr.velocity_std**2))
-            self.factors.append(PriorVectorFactor(
-                0, BA, np.zeros(3), np.eye(3) * pr.accel_bias_std**2))
-            self.factors.append(PriorVectorFactor(
-                0, BG, np.zeros(3), np.eye(3) * pr.gyro_bias_std**2))
-            self.factors.append(PriorVectorFactor(
-                0, T_E, node.p_BL, np.eye(3) * pr.extr_trans_std**2))
-            self.factors.append(PriorExtrinsicRotationFactor(
-                0, node.R_BL, np.eye(3) * pr.extr_rot_std**2))
+            # grouped as recorded runs had them: a regrouping changes the
+            # covariance floor in sqrt_info_from_cov and the summation order
+            self.factors += [
+                PriorFactor(0, {THETA: node.R_WB, P: node.p_WB},
+                            np.diag([pr.pose_rot_std**2] * 3
+                                    + [pr.pose_trans_std**2] * 3)),
+                PriorFactor(0, {V: np.zeros(3)}, np.eye(3) * pr.velocity_std**2),
+                PriorFactor(0, {BA: np.zeros(3)},
+                            np.eye(3) * pr.accel_bias_std**2),
+                PriorFactor(0, {BG: np.zeros(3)},
+                            np.eye(3) * pr.gyro_bias_std**2),
+                PriorFactor(0, {T_E: node.p_BL}, np.eye(3) * pr.extr_trans_std**2),
+                PriorFactor(0, {THETA_E: node.R_BL},
+                            np.eye(3) * pr.extr_rot_std**2)]
         else:
             if delta is None:
                 raise ValueError("non-initial keyframes need an IMU delta")
@@ -139,21 +138,23 @@ class FixedLagSmoother:
             if np.linalg.norm(prev.bias.as_vector()
                               - delta.bias_lin.as_vector()) > 1e-3:
                 delta = correct_for_bias(delta, prev.bias)
+            gravity_W = self.noise.gravity_W
             R_j, p_j, v_j = predict(prev.R_WB, prev.p_WB, prev.v_W, delta,
-                                    self.noise.gravity)
+                                    gravity_W)
             node = StateNode(t, R_j, p_j, v_j, prev.bias,
                              prev.R_BL.copy(), prev.p_BL.copy())
             self.states.append(node)
             j = i + 1
-            self.factors.append(ImuFactor(i, j, delta, self.noise.gravity))
+            self.factors.append(ImuFactor(i, j, delta, gravity_W))
             dt = delta.dt_total
             walk_cov = np.diag(
                 [self.noise.accel_bias_walk**2 * dt] * 3
                 + [self.noise.gyro_bias_walk**2 * dt] * 3)
-            self.factors.append(BiasWalkFactor(i, j, walk_cov))
-            self.factors.append(ExtrinsicsWalkFactor(
-                i, j, np.diag([pr.extr_walk_rot_std**2] * 3
-                              + [pr.extr_walk_trans_std**2] * 3)))
+            self.factors.append(WalkFactor(i, j, (BA, BG), walk_cov))
+            self.factors.append(WalkFactor(
+                i, j, (THETA_E, T_E),
+                np.diag([pr.extr_walk_rot_std**2] * 3
+                        + [pr.extr_walk_trans_std**2] * 3)))
             if isinstance(lidar, RelativePoseMeasurement) and lidar.converged:
                 self.factors.append(LidarRelativeFactor(i, j, lidar))
 
@@ -264,7 +265,7 @@ class FixedLagSmoother:
         A = (np.sqrt(lam)[:, None] * Vec.T)
         b = -(Vec / np.sqrt(lam)[None, :]).T @ g_marg
 
-        prior = LinearizedPriorFactor((n_drop,), [self.states[n_drop]], A, b)
+        prior = LinearizedPriorFactor(n_drop, self.states[n_drop], A, b)
         new_factors = keep_factors + [prior]
         # reindex after removing the prefix
         self.states = self.states[n_drop:]

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ def test_bad_config_value_exits_2_without_traceback(dataset, tmp_path, capsys,
     cfg.write_text(text)
     assert main(["run", dataset, "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["- 1\n", "imu: [1, 2]\n"])
+def test_malformed_sensor_yaml_exits_2_without_traceback(dataset, tmp_path,
+                                                        capsys, spec):
+    d = tmp_path / "ds"
+    shutil.copytree(dataset, d)
+    (d / "sensor.yaml").write_text(spec)
+    assert main(["run", str(d), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert "Traceback" not in err

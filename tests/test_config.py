@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from liodom.config import (ConfigError, PipelineConfig, dumps_config,
-                           load_config, save_config)
+from liodom.config import ConfigError, PipelineConfig, load_config
+from liodom.preintegration import ImuNoiseParams
 
 
 def test_empty_config_gives_defaults(tmp_path):
@@ -14,21 +14,6 @@ def test_empty_config_gives_defaults(tmp_path):
 
 def test_none_path_gives_defaults():
     assert load_config(None) == PipelineConfig()
-
-
-def test_roundtrip_identity(tmp_path):
-    cfg = PipelineConfig()
-    cfg.supervisor.hold_time = 0.7
-    cfg.icp.max_iterations = 17
-    cfg.frontend.voxel_size = 0.25
-    cfg.window.lag = 4.5
-    cfg.extrinsics.translation = [0.0, 0.1, 0.0]
-    path = str(tmp_path / "cfg.yaml")
-    save_config(cfg, path)
-    back = load_config(path)
-    assert back == cfg
-    # serializing again produces identical text
-    assert dumps_config(back) == dumps_config(cfg)
 
 
 def test_partial_override(tmp_path):
@@ -95,10 +80,35 @@ def test_invalid_value_rejected(tmp_path):
     path.write_text("- a\n- b\n")
     with pytest.raises(ConfigError):
         load_config(str(path))
+    # a condition number is at least 1: this threshold would flag every scan
+    path.write_text("observability:\n  threshold: 1.0\n")
+    with pytest.raises(ConfigError, match="observability"):
+        load_config(str(path))
 
 
-def test_imu_config_to_params():
-    cfg = PipelineConfig()
-    params = cfg.imu.to_params()
-    assert params.accel_noise_density == cfg.imu.accel_noise_density
-    assert np.allclose(params.gravity, [0.0, 0.0, -9.81])
+@pytest.mark.parametrize("key", [
+    "icp.max_iterations", "icp.translation_epsilon", "icp.rotation_epsilon",
+    "icp.max_correspondence_distance", "window.lag",
+    "imu.accel_noise_density", "imu.gyro_noise_density",
+    "imu.accel_bias_walk", "imu.gyro_bias_walk", "imu.gravity",
+    "observability.threshold",
+])
+def test_nan_value_rejected(tmp_path, key):
+    section, name = key.split(".")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"{section}:\n  {name}: .nan\n")
+    with pytest.raises(ConfigError, match=section):
+        load_config(str(path))
+
+
+def test_imu_section_is_noise_params(tmp_path):
+    """The imu section builds the smoother's ImuNoiseParams directly, with
+    gravity given as a magnitude."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text("imu:\n  accel_noise_density: 1.0e-3\n  gravity: 9.8\n")
+    imu = load_config(str(path)).imu
+    assert isinstance(imu, ImuNoiseParams)
+    assert imu.accel_noise_density == 1e-3
+    assert imu.gyro_noise_density == ImuNoiseParams().gyro_noise_density
+    assert np.array_equal(imu.gravity_W, [0.0, 0.0, -9.8])
+    assert np.array_equal(PipelineConfig().imu.gravity_W, [0.0, 0.0, -9.81])

@@ -1,6 +1,7 @@
 import copy
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from liodom.evalkit import load_tum
 from liodom.geometry import rot_z, so3_exp
 from liodom.pipeline import (DatasetError, _apply_sensor_spec, _imu_slice,
                              attitude_from_gravity, load_dataset, run_pipeline)
-from liodom.preintegration import GRAVITY_W, ImuSample
+from liodom.preintegration import ImuNoiseParams, ImuSample
 from liodom.scan_matching import Gap, RelativePoseMeasurement
 from liodom.smoother import FixedLagSmoother
+
+GRAVITY_W = ImuNoiseParams().gravity_W
 
 
 def test_attitude_from_gravity_level():
@@ -65,8 +68,7 @@ def test_run_pipeline_leaves_caller_config_unchanged(dataset, tmp_path):
     """The dataset's sensor.yaml applies to the run, not to the caller's
     config, so a reused config does not carry it into the next run."""
     cfg = PipelineConfig()
-    cfg.imu.accel_noise_density = 5e-2
-    cfg.imu.gyro_noise_density = 5e-3
+    cfg.imu = replace(cfg.imu, accel_noise_density=5e-2, gyro_noise_density=5e-3)
     cfg.priors.accel_bias_std = 0.3
     cfg.priors.gyro_bias_std = 0.03
     before = copy.deepcopy(cfg)

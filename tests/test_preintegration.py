@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from liodom.geometry import so3_exp, so3_log
-from liodom.preintegration import (GRAVITY_W, ImuBias, ImuNoiseParams,
-                                   ImuSample, PreintegratedDelta,
-                                   correct_for_bias, integrate,
-                                   integrate_window, load_imu_csv, predict,
-                                   residual, residual_jacobians, save_imu_csv)
+from liodom.factors import STATE_DIM, ImuFactor, StateNode
+from liodom.geometry import so3_exp
+from liodom.preintegration import (ImuBias, ImuNoiseParams, ImuSample,
+                                   PreintegratedDelta, correct_for_bias,
+                                   integrate, integrate_window, load_imu_csv,
+                                   predict, save_imu_csv)
 
 NOISE = ImuNoiseParams()
+GRAVITY_W = NOISE.gravity_W
 
 
 def synth_samples(rng, n=100, dt=0.005, bias=None):
@@ -120,10 +121,18 @@ def test_stationary_prediction_drift():
         s = ImuSample(i * dt, -GRAVITY_W, np.zeros(3))
         d = integrate(d, s, dt, NOISE)
     R0 = np.eye(3)
-    R1, p1, v1 = predict(R0, np.zeros(3), np.zeros(3), d)
+    R1, p1, v1 = predict(R0, np.zeros(3), np.zeros(3), d, GRAVITY_W)
     assert np.linalg.norm(p1) < 1e-6
     assert np.linalg.norm(v1) < 1e-6
     assert np.allclose(R1, np.eye(3), atol=1e-9)
+
+
+def imu_factor(R_i, p_i, v_i, bias_i, R_j, p_j, v_j, d):
+    """An ImuFactor on two states holding the given quantities; the
+    extrinsics and state j's bias do not enter its residual."""
+    si = StateNode(0.0, R_i, p_i, v_i, bias_i, np.eye(3), np.zeros(3))
+    sj = StateNode(d.dt_total, R_j, p_j, v_j, ImuBias(), np.eye(3), np.zeros(3))
+    return ImuFactor(0, 1, d, GRAVITY_W), [si, sj]
 
 
 def test_residual_zero_at_predicted_state():
@@ -134,41 +143,23 @@ def test_residual_zero_at_predicted_state():
     R_i = so3_exp(rng.uniform(-1, 1, 3))
     p_i = rng.normal(size=3)
     v_i = rng.normal(size=3)
-    R_j, p_j, v_j = predict(R_i, p_i, v_i, d)
-    r = residual(R_i, p_i, v_i, ImuBias(), R_j, p_j, v_j, d)
-    assert np.allclose(r, 0.0, atol=1e-10)
+    R_j, p_j, v_j = predict(R_i, p_i, v_i, d, GRAVITY_W)
+    f, states = imu_factor(R_i, p_i, v_i, ImuBias(), R_j, p_j, v_j, d)
+    assert np.allclose(f.residual(states), 0.0, atol=1e-10)
 
 
-def finite_difference_jacobians(R_i, p_i, v_i, bias_i, R_j, p_j, v_j, d,
-                                eps=1e-6):
+def finite_difference_jacobians(f, states, eps=1e-6):
     """Central differences under the same perturbation conventions as the
     analytic Jacobians: right rotation perturbation, additive vectors."""
     J = {}
-
-    def fd(apply):
+    for i in f.indices:
         cols = []
-        for k in range(3):
-            e = np.zeros(3); e[k] = eps
-            rp = residual(*apply(+e))
-            rm = residual(*apply(-e))
-            cols.append((rp - rm) / (2 * eps))
-        return np.stack(cols, axis=1)
-
-    base = (R_i, p_i, v_i, bias_i, R_j, p_j, v_j, d)
-    J["theta_i"] = fd(lambda e: (R_i @ so3_exp(e),) + base[1:])
-    J["p_i"] = fd(lambda e: (R_i, p_i + e) + base[2:])
-    J["v_i"] = fd(lambda e: (R_i, p_i, v_i + e) + base[3:])
-    J["theta_j"] = fd(lambda e: base[:4] + (R_j @ so3_exp(e), p_j, v_j, d))
-    J["p_j"] = fd(lambda e: base[:5] + (p_j + e, v_j, d))
-    J["v_j"] = fd(lambda e: base[:6] + (v_j + e, d))
-    J["ba_i"] = fd(lambda e: (R_i, p_i, v_i,
-                              ImuBias(bias_i.accel_bias + e,
-                                      bias_i.gyro_bias),
-                              R_j, p_j, v_j, d))
-    J["bg_i"] = fd(lambda e: (R_i, p_i, v_i,
-                              ImuBias(bias_i.accel_bias,
-                                      bias_i.gyro_bias + e),
-                              R_j, p_j, v_j, d))
+        for k in range(STATE_DIM):
+            e = np.zeros(STATE_DIM); e[k] = eps
+            sp, sm = list(states), list(states)
+            sp[i], sm[i] = states[i].retract(e), states[i].retract(-e)
+            cols.append((f.residual(sp) - f.residual(sm)) / (2 * eps))
+        J[i] = np.stack(cols, axis=1)
     return J
 
 
@@ -183,17 +174,20 @@ def test_residual_jacobians_match_finite_differences():
         v_i = rng.normal(size=3)
         bias_i = ImuBias(rng.normal(scale=0.01, size=3),
                          rng.normal(scale=0.01, size=3))
-        R_jp, p_jp, v_jp = predict(R_i, p_i, v_i, d)
+        R_jp, p_jp, v_jp = predict(R_i, p_i, v_i, d, GRAVITY_W)
         # evaluate off the zero-residual point
         R_j = R_jp @ so3_exp(rng.normal(scale=0.02, size=3))
         p_j = p_jp + rng.normal(scale=0.05, size=3)
         v_j = v_jp + rng.normal(scale=0.05, size=3)
-        J = residual_jacobians(R_i, p_i, v_i, bias_i, R_j, p_j, v_j, d)
-        J_fd = finite_difference_jacobians(R_i, p_i, v_i, bias_i,
-                                           R_j, p_j, v_j, d)
-        for key in J:
-            scale = max(np.abs(J_fd[key]).max(), 1.0)
-            assert np.allclose(J[key], J_fd[key], atol=1e-5 * scale), key
+        f, states = imu_factor(R_i, p_i, v_i, bias_i, R_j, p_j, v_j, d)
+        _, J = f.evaluate(states, True)
+        J_fd = finite_difference_jacobians(f, states)
+        # each 9x3 block of each state, scaled on its own
+        for i in f.indices:
+            for k in range(0, STATE_DIM, 3):
+                a, b = J[i][:, k:k + 3], J_fd[i][:, k:k + 3]
+                scale = max(np.abs(b).max(), 1.0)
+                assert np.allclose(a, b, atol=1e-5 * scale), (i, k)
 
 
 def test_imu_csv_roundtrip(tmp_path):

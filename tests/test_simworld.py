@@ -7,7 +7,7 @@ import pytest
 from liodom.evalkit import load_tum
 from liodom.geometry import (Pose, quat_to_rot, rot_to_quat, rot_z, so3_exp,
                              so3_log)
-from liodom.preintegration import GRAVITY_W, ImuBias, ImuNoiseParams
+from liodom.preintegration import ImuBias, ImuNoiseParams
 from liodom.simworld import (LidarModel, Patch, Preset, TrajectorySpec,
                              WorldModel, box, corridor_world, generate_dataset,
                              make_preset, PRESET_NAMES, raycast_batch,
@@ -136,7 +136,7 @@ def test_stationary_imu_reads_gravity_reaction():
     traj = TrajectorySpec([0.0, 1.0, 2.0, 3.0], [[0, 0, 1]] * 4, [0.0] * 4)
     samples = simulate_imu(traj, NOISE, ImuBias(), 100.0)
     for s in samples:
-        assert np.allclose(s.accel, -GRAVITY_W, atol=1e-9)
+        assert np.allclose(s.accel, -ImuNoiseParams().gravity_W, atol=1e-9)
         assert np.allclose(s.gyro, 0.0, atol=1e-9)
 
 
@@ -153,7 +153,7 @@ def test_imu_dead_reckoning_reproduces_trajectory():
     p = traj.pose(0.0).translation.copy()
     v = traj.velocity(0.0).copy()
     for s in samples:
-        a_w = R @ (s.accel - bias.accel_bias) + GRAVITY_W
+        a_w = R @ (s.accel - bias.accel_bias) + ImuNoiseParams().gravity_W
         p = p + v * dt + 0.5 * a_w * dt**2
         v = v + a_w * dt
         R = R @ so3_exp((s.gyro - bias.gyro_bias) * dt)

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from liodom.geometry import Pose, compose, rot_z, so3_log
-from liodom.factors import (STATE_DIM, BiasWalkFactor, ExtrinsicsWalkFactor,
-                            ImuFactor, LidarRelativeFactor,
-                            LinearizedPriorFactor, PriorPoseFactor)
+from liodom.factors import (BA, BG, STATE_DIM, T_E, THETA_E, ImuFactor,
+                            LidarRelativeFactor, LinearizedPriorFactor,
+                            PriorFactor, WalkFactor)
 from liodom.preintegration import ImuBias, ImuNoiseParams, integrate_window
 from liodom.scan_matching import Gap, RelativePoseMeasurement
 from liodom.simworld import TrajectorySpec, simulate_imu
@@ -65,7 +65,7 @@ def feed(sm, samples, gt, lidar, marginalize=True, noise=TINY, optimize=True):
             sm.optimize()
         if marginalize:
             sm.marginalize()
-        trace.append((t, sm.latest.pose_WB()))
+        trace.append((t, Pose(sm.latest.R_WB, sm.latest.p_WB, "W", "B")))
     return trace
 
 
@@ -214,7 +214,7 @@ def dense_from_blocks(D, U):
     return H
 
 
-@pytest.mark.parametrize("lag, prior_kind", [(1e9, PriorPoseFactor),
+@pytest.mark.parametrize("lag, prior_kind", [(1e9, PriorFactor),
                                               (1.0, LinearizedPriorFactor)])
 def test_assemble_matches_dense_jacobian_oracle(lag, prior_kind):
     """The blocks of H, g and the cost equal J^T J, J^T r and r^T r of the
@@ -228,8 +228,9 @@ def test_assemble_matches_dense_jacobian_oracle(lag, prior_kind):
     # assembled at the IMU-predicted states; no solve is needed
     feed(sm, samples, gt, lidar, noise=noise, optimize=False)
     kinds = {type(f) for f in sm.factors}
-    assert {ImuFactor, BiasWalkFactor, ExtrinsicsWalkFactor,
-            LidarRelativeFactor, prior_kind} <= kinds
+    assert {ImuFactor, WalkFactor, LidarRelativeFactor, prior_kind} <= kinds
+    assert {f.offsets for f in sm.factors if isinstance(f, WalkFactor)} \
+        == {(BA, BG), (THETA_E, T_E)}
     n = len(sm.states)
     D, U, g, cost = sm._assemble(sm.factors, 0, n)
     H = dense_from_blocks(D, U)
@@ -275,7 +276,7 @@ def test_assemble_rejects_factor_off_the_band():
     sm = FixedLagSmoother(WindowConfig(lag=1e9), TINY,
                           Pose(np.eye(3), np.zeros(3), "B", "L"))
     feed(sm, samples, gt[:3], lidar, marginalize=False, optimize=False)
-    sm.factors.append(BiasWalkFactor(0, 2, np.eye(6)))
+    sm.factors.append(WalkFactor(0, 2, (BA, BG), np.eye(6)))
     with pytest.raises(ValueError, match="non-adjacent"):
         sm._assemble(sm.factors, 0, 3)
 
