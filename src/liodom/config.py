@@ -20,6 +20,13 @@ class FrontendConfig:
     voxel_size: float = 0.08            # m; 0 disables downsampling
     normal_k: int = 40
 
+    def __post_init__(self):
+        # written so that NaN fails too; bool is not accepted as an int
+        if not self.voxel_size >= 0:
+            raise ValueError(f"voxel_size must be >= 0, got {self.voxel_size!r}")
+        if type(self.normal_k) is not int or not self.normal_k >= 3:
+            raise ValueError(f"normal_k must be an integer >= 3, got {self.normal_k!r}")
+
 
 @dataclass
 class ObservabilityConfig:

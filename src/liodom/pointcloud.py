@@ -3,10 +3,60 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+# cores this process may run on: large k-NN queries and plane fits are
+# spread over them, and every output is the same whatever the count
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+# rows below which a query or a batch of plane fits stays on the calling
+# thread. On 2 cores, a k=1 query over ~1500 points takes longer on two
+# threads than on one, and corridor's scan times spread 2.6x wider split.
+PARALLEL_MIN_ROWS = 4096
+# rows a thread takes at a time when the work is spread: a core the host
+# serves late holds the others up by one piece, not by half the work
+CHUNK_ROWS = 512
+
+
+def _over_rows(job, rows: int) -> None:
+    """Call job(start, stop) over pieces that cover rows [0, rows).
+
+    Below PARALLEL_MIN_ROWS, or on one core, the calling thread does it in
+    one piece. Otherwise it splits the rows into near-equal pieces of about
+    CHUNK_ROWS and works through them alongside WORKERS - 1 helper threads,
+    each thread taking the next piece once it is free; a helper that has not
+    started when the pieces run out is dropped.
+    """
+    if WORKERS == 1 or rows < PARALLEL_MIN_ROWS:
+        job(0, rows)
+        return
+    bounds = np.linspace(0, rows, -(-rows // CHUNK_ROWS) + 1).astype(int)
+    pieces = iter(zip(bounds[:-1], bounds[1:]))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                piece = next(pieces, None)
+            if piece is None:
+                return
+            job(*piece)
+
+    pool = ThreadPoolExecutor(WORKERS - 1)
+    helpers = []
+    try:
+        helpers += [pool.submit(drain) for _ in range(WORKERS - 1)]
+        drain()
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    for helper in helpers:
+        if not helper.cancelled():
+            helper.result()
 
 
 class EmptyCloudError(ValueError):
@@ -19,12 +69,15 @@ class PointCloud:
 
     `valid` marks points whose normals are usable; points with degenerate
     neighborhoods are flagged invalid and skipped by ICP and the Hessian.
+    `index` is the k-d tree `estimate_normals` built over these points, kept
+    so that ICP can match against the cloud without building another.
     """
 
     timestamp: float
     points: np.ndarray                      # (N, 3)
     normals: np.ndarray | None = None       # (N, 3) unit vectors
     valid: np.ndarray | None = None         # (N,) bool, defaults to all True
+    index: SpatialIndex | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -67,13 +120,30 @@ class SpatialIndex:
         the cloud size.
         """
         k = min(k, len(self.cloud))
-        d, i = self._tree.query(np.asarray(query, dtype=float), k=k)
+        query = np.asarray(query, dtype=float)
+        rows = query.reshape(-1, 3)
+        d = np.empty((len(rows), k))
+        i = np.empty((len(rows), k), dtype=np.intp)
+
+        def search(start, stop):
+            dd, ii = self._tree.query(rows[start:stop], k=k)
+            d[start:stop] = dd.reshape(-1, k)
+            i[start:stop] = ii.reshape(-1, k)
+
+        _over_rows(search, len(rows))
+        d = d.reshape(*query.shape[:-1], k)
+        i = i.reshape(*query.shape[:-1], k)
         if k == 1:
-            d, i = np.atleast_1d(d)[..., None], np.atleast_1d(i)[..., None]
-            d, i = d.reshape(*np.shape(query)[:-1], 1), i.reshape(*np.shape(query)[:-1], 1)
-        # stable re-sort so equal distances come out in index order
-        order = np.lexsort((i, d), axis=-1)
-        return np.take_along_axis(d, order, -1), np.take_along_axis(i, order, -1)
+            return d, i
+        # each row comes sorted by distance; re-sort, stably, only the rows
+        # holding equal distances, so those come out in index order
+        tied = np.any(d[..., 1:] == d[..., :-1], axis=-1)
+        if np.any(tied):
+            dt, it = d[tied], i[tied]
+            order = np.lexsort((it, dt), axis=-1)
+            d[tied] = np.take_along_axis(dt, order, -1)
+            i[tied] = np.take_along_axis(it, order, -1)
+        return d, i
 
     def nearest(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d, i = self.knn(query, 1)
@@ -93,10 +163,7 @@ def estimate_normals(cloud: PointCloud, k: int = 10,
     origin = np.zeros(3) if sensor_origin is None else np.asarray(sensor_origin, float)
     index = SpatialIndex(cloud)
     _, nbr = index.knn(cloud.points, k)
-    neigh = cloud.points[nbr]                       # (N, k, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    w, v = np.linalg.eigh(cov)                      # ascending eigenvalues
+    w, v = _plane_fits(cloud.points, nbr)           # ascending eigenvalues
     normals = v[:, :, 0]
     # collinear neighborhood: two vanishing eigenvalues relative to the largest
     scale = np.maximum(w[:, 2], 1e-30)
@@ -106,7 +173,28 @@ def estimate_normals(cloud: PointCloud, k: int = 10,
     normals[flip] *= -1.0
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = normals / np.maximum(norms, 1e-30)
-    return PointCloud(cloud.timestamp, cloud.points.copy(), normals, valid)
+    return PointCloud(cloud.timestamp, cloud.points.copy(), normals, valid,
+                      index)
+
+
+def _plane_fits(points: np.ndarray, nbr: np.ndarray):
+    """Eigen-decomposition of each neighbourhood's covariance, for the
+    neighbour table `nbr` (N, k), piece by piece over the cores.
+
+    Every row's arithmetic is the same however the rows are split, so the
+    result does not depend on WORKERS.
+    """
+    w = np.empty((len(nbr), 3))
+    v = np.empty((len(nbr), 3, 3))
+
+    def fit(start, stop):
+        neigh = np.take(points, nbr[start:stop], axis=0)    # (n, k, 3)
+        centered = neigh - neigh.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
+        w[start:stop], v[start:stop] = np.linalg.eigh(cov)
+
+    _over_rows(fit, len(nbr))
+    return w, v
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
@@ -116,17 +204,22 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     if len(cloud) == 0:
         return PointCloud(cloud.timestamp, np.zeros((0, 3)))
     cells = np.floor(cloud.points / voxel).astype(np.int64)
-    _, first, inverse = np.unique(cells, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    inverse = rank[inverse]
+    # a stable sort brings equal cells together, each run led by the cell's
+    # first occurrence; cells are compared per axis, never packed into one
+    # key that could overflow
+    order = np.lexsort(cells.T)
+    sorted_cells = cells[order]
+    new = np.r_[True, np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)]
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    # bincount adds each cell's points in input order, as a loop would
     n_cells = len(first)
-    sums = np.zeros((n_cells, 3))
-    counts = np.zeros(n_cells)
-    np.add.at(sums, inverse, cloud.points)
-    np.add.at(counts, inverse, 1.0)
+    sums = np.stack([np.bincount(inverse, cloud.points[:, c], n_cells)
+                     for c in range(3)], axis=1)
+    counts = np.bincount(inverse, minlength=n_cells)
     return PointCloud(cloud.timestamp, sums / counts[:, None])
 
 

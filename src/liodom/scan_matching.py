@@ -80,12 +80,14 @@ def gravity_align_guess(imu_attitude: np.ndarray, extrinsics: Pose,
 def match(source: PointCloud, target: PointCloud, init: Pose,
           params: IcpParams) -> RelativePoseMeasurement:
     """Estimate the transform mapping source points into the target frame."""
-    tgt = target.valid_subset() if target.has_normals else target
+    # the tree estimate_normals built serves when no target point is dropped
+    reuse = target.index is not None and bool(target.valid.all())
+    tgt = target.valid_subset() if target.has_normals and not reuse else target
     if len(source) < MIN_CLOUD_POINTS or len(tgt) < MIN_CLOUD_POINTS:
         return _unconverged(init, source, target, 0)
     if not target.has_normals:
         raise ValueError("target cloud needs normals for plane-based matching")
-    index = SpatialIndex(tgt)
+    index = target.index if reuse else SpatialIndex(tgt)
 
     R = init.rotation.copy()
     t = init.translation.copy()

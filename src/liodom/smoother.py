@@ -8,7 +8,7 @@ Gaussian prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -29,8 +29,15 @@ class WindowConfig:
     convergence_epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not self.lag > 0:                # NaN fails too
+        # written so that NaN fails too; bool is not accepted as an int
+        if not self.lag > 0:
             raise ValueError("lag must be positive")
+        if type(self.max_gn_iterations) is not int or not self.max_gn_iterations >= 1:
+            raise ValueError("max_gn_iterations must be an integer >= 1, "
+                             f"got {self.max_gn_iterations!r}")
+        if not self.convergence_epsilon > 0:
+            raise ValueError("convergence_epsilon must be positive, "
+                             f"got {self.convergence_epsilon!r}")
 
 
 @dataclass
@@ -46,6 +53,12 @@ class PriorConfig:
     extr_trans_std: float = 0.1
     extr_walk_rot_std: float = 1e-4        # per keyframe
     extr_walk_trans_std: float = 1e-4
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value > 0:               # NaN fails too
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
 
 
 # upper bandwidth of a block-tridiagonal H with STATE_DIM x STATE_DIM blocks

@@ -112,3 +112,32 @@ def test_imu_section_is_noise_params(tmp_path):
     assert imu.gyro_noise_density == ImuNoiseParams().gyro_noise_density
     assert np.array_equal(imu.gravity_W, [0.0, 0.0, -9.8])
     assert np.array_equal(PipelineConfig().imu.gravity_W, [0.0, 0.0, -9.81])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("frontend.voxel_size", ".nan"),
+    ("frontend.normal_k", "2"),
+    ("window.max_gn_iterations", "0"),
+    ("window.convergence_epsilon", ".nan"),
+    ("priors.pose_rot_std", "0"),
+    ("priors.pose_trans_std", ".nan"),
+    ("priors.velocity_std", "0"),
+    ("priors.accel_bias_std", "-0.1"),
+    ("priors.gyro_bias_std", "0"),
+    ("priors.extr_rot_std", ".nan"),
+    ("priors.extr_trans_std", "0"),
+    ("priors.extr_walk_rot_std", "0"),
+    ("priors.extr_walk_trans_std", "-1.0e-4"),
+])
+def test_bad_value_exits_2_at_load(dataset, tmp_path, capsys, key, value):
+    """`liodom run` rejects the value before it makes the output directory,
+    naming the key."""
+    from liodom.cli import main
+    section, name = key.split(".")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"{section}:\n  {name}: {value}\n")
+    out = tmp_path / "out"
+    assert main(["run", dataset, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and name in err
+    assert not out.exists()
