@@ -101,12 +101,13 @@ def main(argv=None) -> int:
     except click.ClickException as e:
         e.show()
         return 1
+    # LinAlgError is a ValueError, so the numerical clause comes first
+    except (np.linalg.LinAlgError, ArithmeticError) as e:
+        click.echo(f"numerical failure: {e}", err=True)
+        return 3
     except (DatasetError, ConfigError, FileNotFoundError, ValueError) as e:
         click.echo(f"data error: {e}", err=True)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as e:
-        click.echo(f"numerical failure: {e}", err=True)
-        return 3
 
 
 if __name__ == "__main__":

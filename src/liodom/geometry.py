@@ -9,76 +9,103 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_EPS = 1e-12
-
 
 class FrameMismatchError(ValueError):
     """Raised when composing poses whose frames do not chain."""
 
 
-class NonPrincipalBranchError(ValueError):
+class NonPrincipalBranchError(ArithmeticError):
     """Raised by so3_log() when the rotation angle is at (or beyond) pi."""
+
+
+_I3 = np.eye(3)
+# skew(v) picks its entries from [0, x, y, z, -x, -y, -z]
+_SKEW = np.array([[0, 6, 2], [3, 0, 4], [5, 1, 0]])
+_LOG_ROWS, _LOG_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
+
+
+# The SO(3) functions below take one vector (3,) or matrix (3, 3), or a stack
+# of them (..., 3) or (..., 3, 3), and choose the small-angle branch per
+# element. On a stack each element gets exactly the bits it gets alone: norms
+# go through np.vecdot, which rounds as np.linalg.norm of one vector does,
+# and powers through np.float_power, which rounds as the scalar `**` does.
 
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix such that skew(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
+    v = np.asarray(v, dtype=float)
+    entries = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v, -v], axis=-1)
+    return entries.take(_SKEW, axis=-1)
+
+
+def _angle(phi: np.ndarray, threshold: float):
+    """The mask of rotation vectors shorter than threshold, and their angle
+    with 1 added to those: the closed-form branch stays finite there and
+    raises no warning, and the Taylor branch replaces its result."""
+    angle = np.sqrt(np.vecdot(phi, phi))
+    small = angle < threshold
+    return small, angle + small
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
     """Rodrigues' formula: axis-angle vector to rotation matrix."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    K = skew(phi)
-    if angle < 1e-8:
+    small, a = _angle(phi, 1e-8)
+    c1 = np.sin(a) / a
+    c2 = (1.0 - np.cos(a)) / np.float_power(a, 2)
+    if small.any():
         # 2nd-order Taylor keeps orthonormality to machine precision
-        return np.eye(3) + K + 0.5 * (K @ K)
-    return (
-        np.eye(3)
-        + (np.sin(angle) / angle) * K
-        + ((1.0 - np.cos(angle)) / angle**2) * (K @ K)
-    )
+        c1, c2 = np.where(small, 1.0, c1), np.where(small, 0.5, c2)
+    K = skew(phi)
+    return _I3 + c1[..., None, None] * K + c2[..., None, None] * (K @ K)
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
     """Rotation matrix to axis-angle vector (principal branch only)."""
-    trace = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
+    R = np.asarray(R, dtype=float)
+    trace = np.minimum(np.maximum(
+        (R.trace(axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0), 1.0)
     angle = np.arccos(trace)
-    if angle > np.pi - 1e-6:
+    if (angle > np.pi - 1e-6).any():
         raise NonPrincipalBranchError(
-            f"rotation angle {angle:.9f} too close to pi for principal-branch log"
-        )
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle < 1e-8:
-        return 0.5 * w
-    return (angle / (2.0 * np.sin(angle))) * w
+            f"rotation angle {np.max(angle):.9f} too close to pi for "
+            "principal-branch log")
+    # [R21 - R12, R02 - R20, R10 - R01]
+    w = (R - np.swapaxes(R, -1, -2))[..., _LOG_ROWS, _LOG_COLS]
+    small = angle < 1e-8
+    a = angle + small
+    c = a / (2.0 * np.sin(a))
+    if small.any():
+        c = np.where(small, 0.5, c)
+    return c[..., None] * w
 
 
 def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
     """Right Jacobian of SO(3): Exp(phi + dphi) ~ Exp(phi) Exp(Jr dphi)."""
-    angle = np.linalg.norm(phi)
+    phi = np.asarray(phi, dtype=float)
+    small, a = _angle(phi, 1e-6)
+    c1 = ((1.0 - np.cos(a)) / np.float_power(a, 2))[..., None, None]
+    c2 = ((a - np.sin(a)) / np.float_power(a, 3))[..., None, None]
     K = skew(phi)
-    if angle < 1e-6:
-        return np.eye(3) - 0.5 * K + (K @ K) / 6.0
-    return (
-        np.eye(3)
-        - ((1.0 - np.cos(angle)) / angle**2) * K
-        + ((angle - np.sin(angle)) / angle**3) * (K @ K)
-    )
+    KK = K @ K
+    t1, t2 = c1 * K, c2 * KK
+    if small.any():
+        small = small[..., None, None]
+        t1, t2 = np.where(small, 0.5 * K, t1), np.where(small, KK / 6.0, t2)
+    return _I3 - t1 + t2
 
 
 def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    angle = np.linalg.norm(phi)
+    phi = np.asarray(phi, dtype=float)
+    small, a = _angle(phi, 1e-6)
+    cot_half = a * np.cos(a * 0.5) / (2.0 * np.sin(a * 0.5))
+    c2 = ((1.0 - cot_half) / np.float_power(a, 2))[..., None, None]
     K = skew(phi)
-    if angle < 1e-6:
-        return np.eye(3) + 0.5 * K + (K @ K) / 12.0
-    cot_half = angle * np.cos(angle * 0.5) / (2.0 * np.sin(angle * 0.5))
-    return np.eye(3) + 0.5 * K + ((1.0 - cot_half) / angle**2) * (K @ K)
+    KK = K @ K
+    t2 = c2 * KK
+    if small.any():
+        t2 = np.where(small[..., None, None], KK / 12.0, t2)
+    return _I3 + 0.5 * K + t2
 
 
 def rot_z(a: float) -> np.ndarray:

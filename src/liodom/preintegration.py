@@ -93,18 +93,25 @@ def integrate(delta: PreintegratedDelta, s: ImuSample, dt: float,
     pre-update values."""
     if dt <= 0:
         raise ValueError(f"non-positive dt: {dt}")
+    w = s.gyro - delta.bias_lin.gyro_bias
+    a = s.accel - delta.bias_lin.accel_bias
+    return _step(delta, a, dt, so3_exp(w * dt), so3_right_jacobian(w * dt),
+                 skew(a), noise)
+
+
+def _step(delta: PreintegratedDelta, a: np.ndarray, dt: float,
+          incr: np.ndarray, Jr: np.ndarray, skew_a: np.ndarray,
+          noise: ImuNoiseParams) -> PreintegratedDelta:
+    """integrate() given the bias-corrected specific force a, the rotation
+    increment Exp(w dt), its right Jacobian and skew(a)."""
     d = delta.copy()
-    w = s.gyro - d.bias_lin.gyro_bias
-    a = s.accel - d.bias_lin.accel_bias
     dRk = d.dR
-    incr = so3_exp(w * dt)
-    Jr = so3_right_jacobian(w * dt)
 
     # covariance and bias-Jacobian propagation uses the pre-update dR
     A = np.eye(9)
     A[0:3, 0:3] = incr.T
-    A[3:6, 0:3] = -dRk @ skew(a) * dt
-    A[6:9, 0:3] = -0.5 * dRk @ skew(a) * dt**2
+    A[3:6, 0:3] = -dRk @ skew_a * dt
+    A[6:9, 0:3] = -0.5 * dRk @ skew_a * dt**2
     A[6:9, 3:6] = np.eye(3) * dt
     B = np.zeros((9, 6))                      # columns: [gyro, accel]
     B[0:3, 0:3] = Jr * dt
@@ -115,9 +122,9 @@ def integrate(delta: PreintegratedDelta, s: ImuSample, dt: float,
         np.full(3, noise.accel_noise_density**2 / dt)]))
     d.covariance = A @ d.covariance @ A.T + B @ Q @ B.T
 
-    d.dp_dbg = d.dp_dbg + d.dv_dbg * dt - 0.5 * dRk @ skew(a) @ d.dR_dbg * dt**2
+    d.dp_dbg = d.dp_dbg + d.dv_dbg * dt - 0.5 * dRk @ skew_a @ d.dR_dbg * dt**2
     d.dp_dba = d.dp_dba + d.dv_dba * dt - 0.5 * dRk * dt**2
-    d.dv_dbg = d.dv_dbg - dRk @ skew(a) @ d.dR_dbg * dt
+    d.dv_dbg = d.dv_dbg - dRk @ skew_a @ d.dR_dbg * dt
     d.dv_dba = d.dv_dba - dRk * dt
     d.dR_dbg = incr.T @ d.dR_dbg - Jr * dt
 
@@ -133,28 +140,40 @@ def integrate_window(samples: list[ImuSample], t0: float, t1: float,
     """Preintegrate the samples covering [t0, t1).
 
     Samples are zero-order-hold between timestamps; the samples straddling
-    the window edges are linearly time-split.
+    the window edges are linearly time-split. The rotation increments of all
+    samples are computed in one stacked call, each as integrate() computes
+    it alone.
     """
     if t1 <= t0:
         raise ValueError("window must have positive duration")
     d = PreintegratedDelta(bias_lin=bias)
+    held, dts = [], []
     for idx, s in enumerate(samples):
         t_next = samples[idx + 1].timestamp if idx + 1 < len(samples) else t1
         seg0 = max(s.timestamp, t0)
         seg1 = min(t_next, t1)
         if seg1 > seg0:
-            d = integrate(d, s, seg1 - seg0, noise)
+            held.append(s)
+            dts.append(seg1 - seg0)
+    if not held:
+        return d
+    w = np.array([s.gyro for s in held]) - bias.gyro_bias
+    a = np.array([s.accel for s in held]) - bias.accel_bias
+    phi = w * np.array(dts)[:, None]
+    incr, Jr, skew_a = so3_exp(phi), so3_right_jacobian(phi), skew(a)
+    for k, dt in enumerate(dts):
+        d = _step(d, a[k], dt, incr[k], Jr[k], skew_a[k], noise)
     return d
 
 
-def bias_corrected(delta: PreintegratedDelta, bias: ImuBias
+def bias_corrected(delta: PreintegratedDelta, dba: np.ndarray, dbg: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dR, dv, dp) re-linearized to first order at `bias`."""
-    dbg = bias.gyro_bias - delta.bias_lin.gyro_bias
-    dba = bias.accel_bias - delta.bias_lin.accel_bias
-    return (delta.dR @ so3_exp(delta.dR_dbg @ dbg),
-            delta.dv + delta.dv_dbg @ dbg + delta.dv_dba @ dba,
-            delta.dp + delta.dp_dbg @ dbg + delta.dp_dba @ dba)
+    """(dR, dv, dp) re-linearized to first order at the bias offsets dba,
+    dbg from delta.bias_lin. The arrays of delta and the offsets may be
+    stacked along a leading axis."""
+    return (delta.dR @ so3_exp(np.matvec(delta.dR_dbg, dbg)),
+            delta.dv + np.matvec(delta.dv_dbg, dbg) + np.matvec(delta.dv_dba, dba),
+            delta.dp + np.matvec(delta.dp_dbg, dbg) + np.matvec(delta.dp_dba, dba))
 
 
 def correct_for_bias(delta: PreintegratedDelta, new_bias: ImuBias) -> PreintegratedDelta:
@@ -164,7 +183,7 @@ def correct_for_bias(delta: PreintegratedDelta, new_bias: ImuBias) -> Preintegra
     if max(np.linalg.norm(dbg), np.linalg.norm(dba)) > 0.1:
         warnings.warn("large bias update; first-order correction may be inaccurate")
     d = delta.copy()
-    d.dR, d.dv, d.dp = bias_corrected(delta, new_bias)
+    d.dR, d.dv, d.dp = bias_corrected(delta, dba, dbg)
     d.bias_lin = new_bias
     return d
 

@@ -192,14 +192,20 @@ def simulate_imu(traj: TrajectorySpec, noise: ImuNoiseParams, bias: ImuBias,
     dt = 1.0 / rate
     times = np.arange(traj.times[0], traj.times[-1], dt)
     g = noise.gravity_W
-    samples = []
+    accels, turns, spans = [], [], []
     for t in times:
         t0, t1 = float(t), min(float(t) + dt, traj.times[-1])
         span = max(t1 - t0, 1e-12)
         R = traj.pose(t0).rotation
         dv_w = traj.velocity(t1) - traj.velocity(t0)
-        accel = R.T @ (dv_w / span - g) + bias.accel_bias
-        gyro = (so3_log(R.T @ traj.pose(t1).rotation) / span) + bias.gyro_bias
+        accels.append(R.T @ (dv_w / span - g) + bias.accel_bias)
+        turns.append(R.T @ traj.pose(t1).rotation)
+        spans.append(span)
+    # one stacked log for all samples; each row is the log of its turn alone
+    gyros = (so3_log(np.array(turns).reshape(-1, 3, 3)) / np.array(spans)[:, None]
+             + bias.gyro_bias)
+    samples = []
+    for t, accel, gyro in zip(times, accels, gyros):
         if rng is not None:
             accel = accel + rng.normal(0, noise.accel_noise_density * np.sqrt(rate), 3)
             gyro = gyro + rng.normal(0, noise.gyro_noise_density * np.sqrt(rate), 3)

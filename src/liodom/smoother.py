@@ -14,8 +14,9 @@ import numpy as np
 import scipy.linalg
 
 from .factors import (BA, BG, P, STATE_DIM, T_E, THETA, THETA_E, V, Factor,
-                      ImuFactor, LidarRelativeFactor, LinearizedPriorFactor,
-                      PriorFactor, StateNode, WalkFactor)
+                      FactorBatch, ImuFactor, LidarRelativeFactor,
+                      LinearizedPriorFactor, PriorFactor, StateNode, StateStack,
+                      WalkFactor)
 from .geometry import Pose
 from .preintegration import (ImuBias, ImuNoiseParams, PreintegratedDelta,
                              correct_for_bias, predict)
@@ -99,6 +100,102 @@ def _gn_step(ab: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
     return scipy.linalg.cho_solve_banded((c, False), -g, check_finite=False)
 
 
+class _Chain:
+    """The factors of a chain window, grouped for one evaluation per kind:
+    one FactorBatch per kind of edge factor on states (i, i + 1), and the
+    priors on one state, kept one by one.
+
+    Each contribution lands in D, U, g and the cost in the order the factors
+    sit in the list, so every sum keeps the bits of a loop over the factors.
+    The edge factors must come in increasing i, each edge's kinds in the
+    order of their first appearance; the constructor checks this. Then the
+    stages below add into every state in list order: stage s < K adds kind s
+    into the state each of its edges ends at, stage K + s adds kind s into
+    the state each starts at. A prior is added right after the last stage
+    that adds a factor placed before it into its state."""
+
+    def __init__(self, factors: list[Factor]):
+        self.size = len(factors)
+        priors, kinds = [], {}               # kinds: kind -> [(position, factor)]
+        last = (-1, -1)
+        for pos, f in enumerate(factors):
+            lo = min(f.indices)
+            if max(f.indices) - lo > 1:
+                raise ValueError(f"{type(f).__name__} links non-adjacent "
+                                 f"states {f.indices}")
+            if len(f.indices) == 1:
+                priors.append((pos, f))
+                continue
+            key = (type(f), f.offsets)
+            rank = list(kinds).index(key) if key in kinds else len(kinds)
+            if f.indices != (lo, lo + 1) or (lo, rank) <= last:
+                raise ValueError(f"{type(f).__name__} on states {f.indices} "
+                                 "breaks the chain order of the factors")
+            last = (lo, rank)
+            kinds.setdefault(key, []).append((pos, f))
+        self.edges = [(np.array([pos for pos, _ in group]),
+                       FactorBatch([f for _, f in group]))
+                      for group in kinds.values()]
+        n_kinds = len(self.edges)
+        # after_stage[s + 1]: the priors added right after stage s
+        self.after_stage = [[] for _ in range(2 * n_kinds + 1)]
+        for pos, f in priors:
+            i, stage = f.indices[0], -1
+            for s, group in enumerate(kinds.values()):
+                for p, e in group:
+                    if p < pos and e.indices[1] == i:
+                        stage = max(stage, s)
+                    elif p < pos and e.indices[0] == i:
+                        stage = max(stage, n_kinds + s)
+            self.after_stage[stage + 1].append((np.array([pos]), FactorBatch([f])))
+
+    def assemble(self, X: StateStack
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Gauss-Newton system at the states X (see FixedLagSmoother._assemble)."""
+        n = len(X)
+        D = np.zeros((n, STATE_DIM, STATE_DIM))
+        U = np.zeros((n - 1, STATE_DIM, STATE_DIM))
+        g = np.zeros((n, STATE_DIM))
+        costs = np.empty(self.size)
+
+        def add_priors(priors):
+            for pos, batch in priors:
+                costs[pos], (gi,), H = batch.linearize(X, True)
+                i = batch.rows[0]
+                D[i] += H[0, 0]
+                g[i] += gi
+
+        add_priors(self.after_stage[0])
+        edges = [(pos, batch, batch.linearize(X, True))
+                 for pos, batch in self.edges]
+        for s, (pos, batch, (cost, (_, gj), H)) in enumerate(edges):
+            costs[pos] = cost
+            D[batch.rows[1]] += H[1, 1]
+            g[batch.rows[1]] += gj
+            add_priors(self.after_stage[s + 1])
+        for s, (_, batch, (_, (gi, _), H)) in enumerate(edges):
+            i = batch.rows[0]
+            D[i] += H[0, 0]
+            U[i] += H[0, 1]
+            g[i] += gi
+            add_priors(self.after_stage[len(edges) + s + 1])
+        return D, U, g.ravel(), _sum_in_order(costs)
+
+    def cost(self, X: StateStack) -> float:
+        costs = np.empty(self.size)
+        for pos, batch in self.edges + [p for ps in self.after_stage for p in ps]:
+            costs[pos] = batch.linearize(X, False)[0]
+        return _sum_in_order(costs)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left to right, as `cost += ...` over the factors adds them."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
 class FixedLagSmoother:
 
     def __init__(self, window: WindowConfig, noise: ImuNoiseParams,
@@ -114,6 +211,7 @@ class FixedLagSmoother:
         self.states: list[StateNode] = []
         self.factors: list[Factor] = []
         self.healthy = True
+        self._chain_of = (None, None)          # (factor list key, _Chain)
 
     # ------------------------------------------------------------------ window
 
@@ -173,38 +271,24 @@ class FixedLagSmoother:
 
     # ---------------------------------------------------------------- optimize
 
-    def total_cost(self, states: list[StateNode] | None = None) -> float:
-        states = self.states if states is None else states
-        return sum(f.cost(states) for f in self.factors)
+    def _chain(self, factors: list[Factor]) -> _Chain:
+        """The _Chain of factors, built once per factor list."""
+        key = [(id(f), f.indices) for f in factors]
+        if self._chain_of[0] != key:
+            self._chain_of = (key, _Chain(factors))
+        return self._chain_of[1]
 
-    def _assemble(self, factors: list[Factor], first: int, n_blocks: int
+    def total_cost(self, states: StateStack | None = None) -> float:
+        states = StateStack.of(self.states) if states is None else states
+        return self._chain(self.factors).cost(states)
+
+    def _assemble(self, factors: list[Factor], states: StateStack
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Gauss-Newton system of the whitened factors at the current states
-        first .. first + n_blocks - 1, as the diagonal blocks D[k], the
-        super-diagonal blocks U[k] (state k with k + 1), g and the cost.
-        The window is a chain, so these blocks are all of H."""
-        D = np.zeros((n_blocks, STATE_DIM, STATE_DIM))
-        U = np.zeros((n_blocks - 1, STATE_DIM, STATE_DIM))
-        g = np.zeros((n_blocks, STATE_DIM))
-        cost = 0.0
-        for f in factors:
-            if max(f.indices) - min(f.indices) > 1:
-                raise ValueError(f"{type(f).__name__} links non-adjacent "
-                                 f"states {f.indices}")
-            wr, wJ = f.whitened(self.states)
-            cost += float(wr @ wr)
-            items = [(i - first, J) for i, J in wJ.items()]
-            for a, (ka, Ja) in enumerate(items):
-                g[ka] += Ja.T @ wr
-                for kb, Jb in items[a:]:
-                    block = Ja.T @ Jb
-                    if ka == kb:
-                        D[ka] += block
-                    elif ka < kb:
-                        U[ka] += block
-                    else:
-                        U[kb] += block.T
-        return D, U, g.ravel(), cost
+        """Gauss-Newton system of the whitened factors at the states, as the
+        diagonal blocks D[k], the super-diagonal blocks U[k] (state k with
+        k + 1), g and the cost. The window is a chain, so these blocks are
+        all of H."""
+        return self._chain(factors).assemble(states)
 
     def optimize(self) -> float:
         """Damped Gauss-Newton on the window; returns final cost. Keeps the
@@ -212,12 +296,13 @@ class FixedLagSmoother:
         if not self.states:
             raise ValueError("empty window")
         n = len(self.states)
+        X = StateStack.of(self.states)
         lam = 0.0
         cost = np.inf
         converged = False
         any_accepted = False
         for _ in range(self.window.max_gn_iterations):
-            D, U, g, cost = self._assemble(self.factors, 0, n)
+            D, U, g, cost = self._assemble(self.factors, X)
             ab = _band(D, U)
             accepted = False
             for _ in range(8):
@@ -226,11 +311,10 @@ class FixedLagSmoother:
                 except np.linalg.LinAlgError:
                     lam = max(lam * 10.0, 1e-6)
                     continue
-                trial = [s.retract(delta[k * STATE_DIM:(k + 1) * STATE_DIM])
-                         for k, s in enumerate(self.states)]
+                trial = X.retract(delta.reshape(n, STATE_DIM))
                 trial_cost = self.total_cost(trial)
                 if trial_cost <= cost + 1e-15:
-                    self.states = trial
+                    X = trial
                     lam = lam * 0.25 if lam > 1e-9 else 0.0
                     accepted = True
                     any_accepted = True
@@ -244,6 +328,8 @@ class FixedLagSmoother:
                 break
         else:
             converged = any_accepted
+        if any_accepted:
+            self.states = X.nodes([s.timestamp for s in self.states])
         # a window where no step could be accepted is reported as degraded
         self.healthy = converged or n == 1
         return cost
@@ -263,7 +349,8 @@ class FixedLagSmoother:
         # chain factors: the dropped states reach only state n_drop
         marg_factors = [f for f in self.factors if min(f.indices) < n_drop]
         keep_factors = [f for f in self.factors if min(f.indices) >= n_drop]
-        D, U, g, _ = self._assemble(marg_factors, 0, n_drop + 1)
+        D, U, g, _ = self._assemble(
+            marg_factors, StateStack.of(self.states[:n_drop + 1]))
         H = _dense(D, U)
         nd = n_drop * STATE_DIM
         H_dd = H[:nd, :nd] + 1e-10 * np.eye(nd)

@@ -4,7 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
+from liodom import cli
 from liodom.cli import main
+from liodom.geometry import rot_z, so3_log
 
 
 def test_usage_errors_exit_1():
@@ -63,6 +65,25 @@ def test_malformed_sensor_yaml_exits_2_without_traceback(dataset, tmp_path,
     assert main(["run", str(d), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+def _raise_linalg(*args, **kwargs):
+    raise np.linalg.LinAlgError("Matrix is singular")
+
+
+def _log_of_half_turn(*args, **kwargs):
+    so3_log(rot_z(np.pi))
+
+
+@pytest.mark.parametrize("failure", [_raise_linalg, _log_of_half_turn])
+def test_numerical_failure_exits_3_without_traceback(dataset, tmp_path, capsys,
+                                                    monkeypatch, failure):
+    """LinAlgError is a ValueError, and must not be reported as bad data."""
+    monkeypatch.setattr(cli, "run_pipeline", failure)
+    assert main(["run", dataset, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
     assert "Traceback" not in err
 
 

@@ -5,7 +5,7 @@ import scipy.linalg
 from liodom.geometry import Pose, compose, rot_z, so3_log
 from liodom.factors import (BA, BG, STATE_DIM, T_E, THETA_E, ImuFactor,
                             LidarRelativeFactor, LinearizedPriorFactor,
-                            PriorFactor, WalkFactor)
+                            PriorFactor, StateStack, WalkFactor)
 from liodom.preintegration import ImuBias, ImuNoiseParams, integrate_window
 from liodom.scan_matching import Gap, RelativePoseMeasurement
 from liodom.simworld import TrajectorySpec, simulate_imu
@@ -232,7 +232,7 @@ def test_assemble_matches_dense_jacobian_oracle(lag, prior_kind):
     assert {f.offsets for f in sm.factors if isinstance(f, WalkFactor)} \
         == {(BA, BG), (THETA_E, T_E)}
     n = len(sm.states)
-    D, U, g, cost = sm._assemble(sm.factors, 0, n)
+    D, U, g, cost = sm._assemble(sm.factors, StateStack.of(sm.states))
     H = dense_from_blocks(D, U)
 
     rows, res = [], []
@@ -263,7 +263,7 @@ def test_gn_step_matches_dense_solve(lam):
                           Pose(np.eye(3), np.zeros(3), "B", "L"))
     feed(sm, samples, gt, lidar, noise=noise, optimize=False)
     assert len(sm.states) >= 4
-    D, U, g, _ = sm._assemble(sm.factors, 0, len(sm.states))
+    D, U, g, _ = sm._assemble(sm.factors, StateStack.of(sm.states))
     H = dense_from_blocks(D, U)
     Hd = H + lam * np.diag(np.maximum(np.diag(H), 1e-6))
     expect = scipy.linalg.solve(Hd, -g, assume_a="pos")
@@ -278,7 +278,7 @@ def test_assemble_rejects_factor_off_the_band():
     feed(sm, samples, gt[:3], lidar, marginalize=False, optimize=False)
     sm.factors.append(WalkFactor(0, 2, (BA, BG), np.eye(6)))
     with pytest.raises(ValueError, match="non-adjacent"):
-        sm._assemble(sm.factors, 0, 3)
+        sm._assemble(sm.factors, StateStack.of(sm.states))
 
 
 def test_marginalize_drops_several_states_at_once():
@@ -313,3 +313,113 @@ def test_marginalize_drops_several_states_at_once():
 def test_window_config_validation():
     with pytest.raises(ValueError):
         WindowConfig(lag=0.0)
+
+
+def loop_assemble(factors, states, n_blocks):
+    """The Gauss-Newton system as one loop over the factors, one
+    `whitened` call each: the oracle the batched assembly must reproduce
+    bit for bit."""
+    D = np.zeros((n_blocks, STATE_DIM, STATE_DIM))
+    U = np.zeros((n_blocks - 1, STATE_DIM, STATE_DIM))
+    g = np.zeros((n_blocks, STATE_DIM))
+    cost = 0.0
+    for f in factors:
+        wr, wJ = f.whitened(states)
+        cost += float(wr @ wr)
+        items = list(wJ.items())
+        for a, (ka, Ja) in enumerate(items):
+            g[ka] += Ja.T @ wr
+            for kb, Jb in items[a:]:
+                block = Ja.T @ Jb
+                if ka == kb:
+                    D[ka] += block
+                elif ka < kb:
+                    U[ka] += block
+                else:
+                    U[kb] += block.T
+    return D, U, g.ravel(), cost
+
+
+def assert_batched_matches_loop(sm, factors, n_blocks):
+    X = StateStack.of(sm.states[:n_blocks])
+    got = sm._assemble(factors, X)
+    expect = loop_assemble(factors, sm.states, n_blocks)
+    for name, a, b in zip(("D", "U", "g"), got, expect):
+        assert a.tobytes() == b.tobytes(), name
+    assert got[3] == expect[3]
+    if factors is sm.factors:
+        assert sm.total_cost() == sum(f.cost(sm.states) for f in factors)
+        assert sm.total_cost() == got[3]
+
+
+def noisy_window(lag, kf_times=None, lidar_at=lambda k, m: m):
+    """A smoother fed a noisy 4 s sequence, optimized after every keyframe;
+    lidar_at(k, measurement) picks the lidar input of keyframe k."""
+    noise = ImuNoiseParams(accel_noise_density=1e-3, gyro_noise_density=1e-4,
+                           accel_bias_walk=1e-5, gyro_bias_walk=1e-5)
+    samples, gt, lidar = make_sequence(duration=4.0, noise=noise,
+                                       lidar_cov=1e-4, kf_times=kf_times)
+    rng = np.random.default_rng(1)
+    lidar = [RelativePoseMeasurement(
+        Pose(m.transform.rotation, m.transform.translation
+             + rng.normal(scale=0.01, size=3)), m.covariance,
+        m.timestamp_from, m.timestamp_to, 1, True) for m in lidar]
+    sm = FixedLagSmoother(WindowConfig(lag=lag), noise,
+                          Pose(np.eye(3), np.zeros(3), "B", "L"))
+    for k, (t, _) in enumerate(gt):
+        if k == 0:
+            sm.add_keyframe(t, None, None)
+        else:
+            sm.add_keyframe(t, imu_delta(sm, samples, gt[k - 1][0], t, noise),
+                            lidar_at(k, lidar[k - 1]))
+        sm.optimize()
+        sm.marginalize()
+    return sm, samples, gt, lidar, noise
+
+
+def test_batched_assembly_before_first_marginalization_is_bitwise_the_loop():
+    sm = noisy_window(lag=1e9)[0]
+    assert sum(isinstance(f, PriorFactor) for f in sm.factors) == 6
+    assert_batched_matches_loop(sm, sm.factors, len(sm.states))
+
+
+def test_batched_assembly_with_marginal_prior_is_bitwise_the_loop():
+    sm, samples, gt, lidar, noise = noisy_window(lag=1.0)
+    # right after marginalize the marginal prior is the last factor
+    assert isinstance(sm.factors[-1], LinearizedPriorFactor)
+    assert_batched_matches_loop(sm, sm.factors, len(sm.states))
+    # a new keyframe's factors follow it
+    t = gt[-1][0] + 0.5
+    sm.add_keyframe(t, imu_delta(sm, samples, gt[-1][0], t, noise), lidar[-1])
+    assert not isinstance(sm.factors[-1], LinearizedPriorFactor)
+    assert_batched_matches_loop(sm, sm.factors, len(sm.states))
+
+
+def test_batched_assembly_with_missing_lidar_edges_is_bitwise_the_loop():
+    def lidar_at(k, m):
+        if k == 3:
+            return Gap(m.timestamp_from, m.timestamp_to, "test")
+        if k == 5:
+            return RelativePoseMeasurement(m.transform, m.covariance,
+                                           m.timestamp_from, m.timestamp_to,
+                                           1, False)
+        return m
+    sm = noisy_window(lag=1e9, lidar_at=lidar_at)[0]
+    n_lidar = sum(isinstance(f, LidarRelativeFactor) for f in sm.factors)
+    assert n_lidar == len(sm.states) - 3
+    assert_batched_matches_loop(sm, sm.factors, len(sm.states))
+
+
+def test_batched_marginalization_prefix_is_bitwise_the_loop():
+    sm = noisy_window(lag=1.0)[0]
+    for n_drop in (1, 2):
+        prefix = [f for f in sm.factors if min(f.indices) < n_drop]
+        assert any(isinstance(f, LinearizedPriorFactor) for f in prefix)
+        assert_batched_matches_loop(sm, prefix, n_drop + 1)
+
+
+def test_assemble_rejects_factors_out_of_chain_order():
+    sm = noisy_window(lag=1e9)[0]
+    sm.factors[6], sm.factors[10] = sm.factors[10], sm.factors[6]
+    with pytest.raises(ValueError, match="chain order"):
+        sm._assemble(sm.factors, StateStack.of(sm.states))
