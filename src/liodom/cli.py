@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import closing
 
 import click
 import numpy as np
@@ -14,9 +15,8 @@ import numpy as np
 from .config import ConfigError, load_config
 from .evalkit import (associate, evaluate, load_tum, summarize_observability,
                       write_errors_csv, write_eval_csv, write_obs_summary_csv)
-from .observability import ObservabilityLog, assess, load_observability_csv
-from .pipeline import DatasetError, run_pipeline
-from .pointcloud import load_csv
+from .observability import ObservabilityLog, load_observability_csv
+from .pipeline import DatasetError, front_end, load_dataset, run_pipeline
 from .simworld import PRESET_NAMES, generate_dataset, make_preset
 
 
@@ -73,17 +73,16 @@ def cmd_eval(est, gt, out_dir, align, max_dt):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 def cmd_obs(dataset, threshold, out_dir, config_path):
     """Observability trace over a dataset's scans."""
-    from .pipeline import _preprocess, load_dataset
     cfg = load_config(config_path)
     if threshold is None:
         threshold = cfg.observability.threshold
     scans, _, _ = load_dataset(dataset)
     os.makedirs(out_dir, exist_ok=True)
     log = ObservabilityLog()
-    for path in scans:
-        cloud = _preprocess(load_csv(path), cfg)
-        if cloud is not None:
-            log.add(assess(cloud, threshold))
+    with closing(front_end(scans, cfg, threshold)) as stage:
+        for _, _, report in stage:
+            if report is not None:
+                log.add(report)
     log.write(os.path.join(out_dir, "observability.csv"))
     segs = summarize_observability(
         load_observability_csv(os.path.join(out_dir, "observability.csv")),

@@ -1,14 +1,18 @@
 """End-to-end run: dataset in, trajectories and logs out.
 
-Front-end (downsample, normals, observability, scan-to-scan ICP) feeds the
-fixed-lag smoother; the dataset's wheel-inertial odometry, when it has one,
-and the switching supervisor produce the unified output alongside the raw
-estimator trajectories.
+The run is two stages. The front-end (load, downsample, normals,
+observability) reads no smoother state, so it runs on a worker thread one
+scan ahead of the back-end (preintegration, scan-to-scan ICP, the fixed-lag
+smoother), which runs on the calling thread; the dataset's wheel-inertial
+odometry, when it has one, and the switching supervisor produce the unified
+output alongside the raw estimator trajectories.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +20,7 @@ import numpy as np
 from .config import PipelineConfig
 from .evalkit import load_tum, write_tum
 from .geometry import Pose, compose, rot_z, so3_exp
-from .observability import ObservabilityLog, assess
+from .observability import ObservabilityLog, ObservabilityReport, assess
 from .pointcloud import PointCloud, estimate_normals, load_csv, voxel_downsample
 from .preintegration import ImuSample, integrate_window, load_imu_csv
 from .scan_matching import Gap, gravity_align_guess, match
@@ -65,6 +69,38 @@ def _preprocess(cloud: PointCloud, cfg: PipelineConfig) -> PointCloud | None:
     if len(cloud) < max(cfg.frontend.normal_k, 20):
         return None
     return estimate_normals(cloud, cfg.frontend.normal_k)
+
+
+def _front_end_scan(path: str, cfg: PipelineConfig, threshold: float
+                    ) -> tuple[float, PointCloud | None,
+                               ObservabilityReport | None]:
+    """One scan through the front-end stage: its time, its preprocessed
+    cloud and that cloud's observability report (both None when the scan
+    has too few points to use)."""
+    t = int(os.path.basename(path).split(".")[0]) * 1e-9
+    raw = load_csv(path, timestamp=t)
+    cloud = _preprocess(raw, cfg) if len(raw) else None
+    return t, cloud, None if cloud is None else assess(cloud, threshold)
+
+
+def front_end(scans: list[str], cfg: PipelineConfig, threshold: float):
+    """Yield `_front_end_scan` of each scan path in order.
+
+    One worker thread runs the stage one scan ahead: scan k+1 is submitted
+    only once scan k is taken, so at most one scan is in flight while the
+    caller works on the one before it. The stage reads nothing the caller
+    writes, so its results do not depend on the scheduling. Close the
+    generator (`contextlib.closing`) so that an early exit waits for the
+    scan in flight, drops its result and ends the thread with the run; an
+    error in the stage is raised to the caller when it takes that scan.
+    """
+    with ThreadPoolExecutor(1, thread_name_prefix="liodom-front-end") as worker:
+        ahead = worker.submit(_front_end_scan, scans[0], cfg, threshold)
+        for path in scans[1:]:
+            scan = ahead.result()
+            ahead = worker.submit(_front_end_scan, path, cfg, threshold)
+            yield scan
+        yield ahead.result()
 
 
 def _imu_slice(imu: list[ImuSample], times: np.ndarray,
@@ -127,57 +163,52 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
     T_WL_s2s = compose(Pose(R0, np.zeros(3), "W", "B"), init_extr)
     prio = cfg.supervisor.priorities
 
-    for path in scans:
-        t = int(os.path.basename(path).split(".")[0]) * 1e-9
-        raw = load_csv(path, timestamp=t)
-        cloud = _preprocess(raw, cfg) if len(raw) else None
+    with closing(front_end(scans, cfg, cfg.observability.threshold)) as stage:
+        for t, cloud, report in stage:
+            warning = report is None or report.warning
+            if report is not None:
+                obs_log.add(report)
 
-        warning = True
-        if cloud is not None:
-            report = assess(cloud, cfg.observability.threshold)
-            obs_log.add(report)
-            warning = report.warning
-
-        if prev_t is None:
-            sm.add_keyframe(t, None, None)
-            sm.optimize()
-        else:
-            delta = integrate_window(_imu_slice(imu, imu_times, prev_t, t),
-                                     prev_t, t, sm.latest.bias, cfg.imu)
-            extr = sm.extrinsics_estimate()
-            init = gravity_align_guess(delta.dR, extr, np.eye(3))
-            if cloud is not None and prev_cloud is not None:
-                meas = match(cloud, prev_cloud, init, cfg.icp)
+            if prev_t is None:
+                sm.add_keyframe(t, None, None)
+                sm.optimize()
             else:
-                meas = Gap(prev_t, t, "missing scan")
-            sm.add_keyframe(t, delta, meas)
-            sm.optimize()
-            sm.marginalize()
+                delta = integrate_window(_imu_slice(imu, imu_times, prev_t, t),
+                                         prev_t, t, sm.latest.bias, cfg.imu)
+                extr = sm.extrinsics_estimate()
+                init = gravity_align_guess(delta.dR, extr, np.eye(3))
+                if cloud is not None and prev_cloud is not None:
+                    meas = match(cloud, prev_cloud, init, cfg.icp)
+                else:
+                    meas = Gap(prev_t, t, "missing scan")
+                sm.add_keyframe(t, delta, meas)
+                sm.optimize()
+                sm.marginalize()
 
-            if isinstance(meas, Gap) or not meas.converged:
-                T_WL_s2s = compose(T_WL_s2s, init)
+                if isinstance(meas, Gap) or not meas.converged:
+                    T_WL_s2s = compose(T_WL_s2s, init)
+                else:
+                    T_WL_s2s = compose(T_WL_s2s, meas.transform)
+
+            node = sm.latest
+            lio_pose = Pose(node.R_WB, node.p_WB, "W", "B")
+            lio_traj.append((t, lio_pose))
+            extr_trace.append((t, node.extrinsics_BL()))
+            s2s_traj.append((t, compose(T_WL_s2s, init_extr.inverse())))
+
+            if supervisor_on and wheel:
+                sup.report(SourceStatus("lio", t, 10.0,
+                                        observability_warning=warning,
+                                        input_health=sm.healthy,
+                                        priority=prio.get("lio", 0)))
+                sup.report(SourceStatus("wheel", t, 50.0,
+                                        priority=prio.get("wheel", 1)))
+                unified.append((t, sup.update(t, {"lio": lio_pose,
+                                                  "wheel": wheel_pose(t)})))
             else:
-                T_WL_s2s = compose(T_WL_s2s, meas.transform)
+                unified.append((t, lio_pose))
 
-        node = sm.latest
-        lio_pose = Pose(node.R_WB, node.p_WB, "W", "B")
-        lio_traj.append((t, lio_pose))
-        extr_trace.append((t, node.extrinsics_BL()))
-        s2s_traj.append((t, compose(T_WL_s2s, init_extr.inverse())))
-
-        if supervisor_on and wheel:
-            sup.report(SourceStatus("lio", t, 10.0,
-                                    observability_warning=warning,
-                                    input_health=sm.healthy,
-                                    priority=prio.get("lio", 0)))
-            sup.report(SourceStatus("wheel", t, 50.0,
-                                    priority=prio.get("wheel", 1)))
-            unified.append((t, sup.update(t, {"lio": lio_pose,
-                                              "wheel": wheel_pose(t)})))
-        else:
-            unified.append((t, lio_pose))
-
-        prev_cloud, prev_t = cloud, t
+            prev_cloud, prev_t = cloud, t
 
     _write_outputs(out_dir, lio_traj, s2s_traj, wheel, unified, extr_trace,
                    obs_log, sup)

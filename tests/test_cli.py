@@ -106,6 +106,10 @@ def test_sim_run_eval_obs_pipeline(dataset, tmp_path):
     assert main(["obs", dataset, "--out", obs_out]) == 0
     assert os.path.isfile(os.path.join(obs_out, "observability.csv"))
     assert os.path.isfile(os.path.join(obs_out, "obs_summary.csv"))
+    # both commands take their reports from the same front-end stage
+    with open(os.path.join(out, "observability.csv"), "rb") as f_run, \
+            open(os.path.join(obs_out, "observability.csv"), "rb") as f_obs:
+        assert f_obs.read() == f_run.read()
 
 
 def test_run_supervisor_off(dataset, tmp_path):

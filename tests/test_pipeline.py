@@ -1,12 +1,16 @@
 import copy
 import os
 import shutil
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
+from liodom import pipeline
+from liodom.cli import main
 from liodom.config import PipelineConfig
 from liodom.evalkit import load_tum
 from liodom.geometry import rot_z, so3_exp
@@ -150,3 +154,80 @@ def test_no_wheel_odometry_gives_lio_as_unified(dataset, tmp_path, wheel_csv):
         == (out / "trajectory_lio.txt").read_bytes()
     assert (out / "switches.csv").read_text().splitlines() \
         == ["time,from,to,reason"]
+
+
+def test_front_end_loads_each_scan_once_one_scan_ahead(dataset, tmp_path,
+                                                       monkeypatch):
+    """Every scan is loaded exactly once, in time order, on one thread that
+    is not the caller's, and at most one scan ahead of the back-end: the
+    load of scan k+2 starts only after scan k's keyframe is added. The
+    back-end is slowed down, so that a stage running further ahead would
+    have loaded scan k+2 by then."""
+    events = []
+    load_csv, add_keyframe = pipeline.load_csv, FixedLagSmoother.add_keyframe
+
+    def record_load(path, timestamp=None):
+        events.append(("load", timestamp, threading.current_thread()))
+        return load_csv(path, timestamp=timestamp)
+
+    def record_keyframe(self, t, delta, lidar):
+        time.sleep(0.03)
+        events.append(("keyframe", t, threading.current_thread()))
+        add_keyframe(self, t, delta, lidar)
+
+    monkeypatch.setattr(pipeline, "load_csv", record_load)
+    monkeypatch.setattr(FixedLagSmoother, "add_keyframe", record_keyframe)
+    threads = threading.active_count()
+    run_pipeline(dataset, PipelineConfig(), str(tmp_path / "out"))
+    assert threading.active_count() == threads
+
+    times = [int(os.path.basename(p).split(".")[0]) * 1e-9
+             for p in load_dataset(dataset)[0]]
+    for kind in ("load", "keyframe"):
+        assert [t for k, t, _ in events if k == kind] == times, kind
+    caller = threading.current_thread()
+    loaders = {th for k, _, th in events if k == "load"}
+    assert len(loaders) == 1 and caller not in loaders
+    assert {th for k, _, th in events if k == "keyframe"} == {caller}
+    at = {(k, t): i for i, (k, t, _) in enumerate(events)}
+    for k in range(len(times) - 2):
+        assert at["keyframe", times[k]] < at["load", times[k + 2]], k
+
+
+def _nan_row_in_scan_10(d, monkeypatch):
+    names = sorted(os.listdir(d / "scans"), key=lambda s: int(s.split(".")[0]))
+    scan = d / "scans" / names[10]
+    lines = scan.read_text().splitlines(True)
+    scan.write_text("".join(lines[:3] + ["nan,nan,nan\n"] + lines[3:]))
+
+
+def _singular_third_keyframe(d, monkeypatch):
+    optimize, calls = FixedLagSmoother.optimize, []
+
+    def failing(self):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Matrix is singular")
+        return optimize(self)
+
+    monkeypatch.setattr(FixedLagSmoother, "optimize", failing)
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    (_nan_row_in_scan_10, 2, "data error:"),
+    (_singular_third_keyframe, 3, "numerical failure:"),
+])
+def test_fault_mid_run_exits_with_its_code_and_leaves_no_thread(
+        dataset, tmp_path, monkeypatch, capsys, fault, code, message):
+    """A bad scan raised in the front-end stage and a numerical failure in
+    the back-end, while the next scan is in flight, both end the run with
+    their documented exit code, and no thread outlives it."""
+    d = tmp_path / "ds"
+    shutil.copytree(dataset, d)
+    fault(d, monkeypatch)
+    threads = threading.active_count()
+    assert main(["run", str(d), "--out", str(tmp_path / "out")]) == code
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
