@@ -6,6 +6,7 @@ file is a valid config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -45,6 +46,8 @@ class SupervisorConfig:
     priorities: dict = field(default_factory=lambda: {"lio": 0, "wheel": 1})
 
     def __post_init__(self):
+        if not 0 <= self.hold_time < math.inf:     # NaN fails too
+            raise ValueError(f"hold_time must be finite and >= 0, got {self.hold_time!r}")
         # lower value = higher priority; bool is not accepted as an int
         if (not isinstance(self.priorities, dict)
                 or not set(self.priorities) <= {"lio", "wheel"}
@@ -58,6 +61,13 @@ class ExtrinsicsConfig:
     """Initial lidar-to-body extrinsics guess [x, y, z] and yaw (rad)."""
     translation: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
     yaw: float = 0.0
+
+    def __post_init__(self):
+        t = self.translation
+        if len(t) != 3 or not all(math.isfinite(x) for x in t):
+            raise ValueError(f"translation must be three finite numbers, got {t!r}")
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"yaw must be finite, got {self.yaw!r}")
 
 
 @dataclass

@@ -3,60 +3,14 @@
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-# cores this process may run on: large k-NN queries and plane fits are
-# spread over them, and every output is the same whatever the count
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
-# rows below which a query or a batch of plane fits stays on the calling
-# thread. On 2 cores, a k=1 query over ~1500 points takes longer on two
-# threads than on one, and corridor's scan times spread 2.6x wider split.
-PARALLEL_MIN_ROWS = 4096
-# rows a thread takes at a time when the work is spread: a core the host
-# serves late holds the others up by one piece, not by half the work
+# rows of plane fits done at a time: bounds the (rows, k, 3) temporaries
+# that the gather and centring make
 CHUNK_ROWS = 512
-
-
-def _over_rows(job, rows: int) -> None:
-    """Call job(start, stop) over pieces that cover rows [0, rows).
-
-    Below PARALLEL_MIN_ROWS, or on one core, the calling thread does it in
-    one piece. Otherwise it splits the rows into near-equal pieces of about
-    CHUNK_ROWS and works through them alongside WORKERS - 1 helper threads,
-    each thread taking the next piece once it is free; a helper that has not
-    started when the pieces run out is dropped.
-    """
-    if WORKERS == 1 or rows < PARALLEL_MIN_ROWS:
-        job(0, rows)
-        return
-    bounds = np.linspace(0, rows, -(-rows // CHUNK_ROWS) + 1).astype(int)
-    pieces = iter(zip(bounds[:-1], bounds[1:]))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                piece = next(pieces, None)
-            if piece is None:
-                return
-            job(*piece)
-
-    pool = ThreadPoolExecutor(WORKERS - 1)
-    helpers = []
-    try:
-        helpers += [pool.submit(drain) for _ in range(WORKERS - 1)]
-        drain()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    for helper in helpers:
-        if not helper.cancelled():
-            helper.result()
 
 
 class EmptyCloudError(ValueError):
@@ -121,16 +75,7 @@ class SpatialIndex:
         """
         k = min(k, len(self.cloud))
         query = np.asarray(query, dtype=float)
-        rows = query.reshape(-1, 3)
-        d = np.empty((len(rows), k))
-        i = np.empty((len(rows), k), dtype=np.intp)
-
-        def search(start, stop):
-            dd, ii = self._tree.query(rows[start:stop], k=k)
-            d[start:stop] = dd.reshape(-1, k)
-            i[start:stop] = ii.reshape(-1, k)
-
-        _over_rows(search, len(rows))
+        d, i = self._tree.query(query.reshape(-1, 3), k=k)
         d = d.reshape(*query.shape[:-1], k)
         i = i.reshape(*query.shape[:-1], k)
         if k == 1:
@@ -179,21 +124,19 @@ def estimate_normals(cloud: PointCloud, k: int = 10,
 
 def _plane_fits(points: np.ndarray, nbr: np.ndarray):
     """Eigen-decomposition of each neighbourhood's covariance, for the
-    neighbour table `nbr` (N, k), piece by piece over the cores.
+    neighbour table `nbr` (N, k), CHUNK_ROWS rows at a time.
 
     Every row's arithmetic is the same however the rows are split, so the
-    result does not depend on WORKERS.
+    result does not depend on CHUNK_ROWS.
     """
     w = np.empty((len(nbr), 3))
     v = np.empty((len(nbr), 3, 3))
-
-    def fit(start, stop):
+    for start in range(0, len(nbr), CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
         neigh = np.take(points, nbr[start:stop], axis=0)    # (n, k, 3)
         centered = neigh - neigh.mean(axis=1, keepdims=True)
         cov = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
         w[start:stop], v[start:stop] = np.linalg.eigh(cov)
-
-    _over_rows(fit, len(nbr))
     return w, v
 
 

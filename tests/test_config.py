@@ -128,6 +128,11 @@ def test_imu_section_is_noise_params(tmp_path):
     ("priors.extr_trans_std", "0"),
     ("priors.extr_walk_rot_std", "0"),
     ("priors.extr_walk_trans_std", "-1.0e-4"),
+    ("supervisor.hold_time", ".nan"),
+    ("supervisor.hold_time", "-1.0"),
+    ("extrinsics.translation", "[.nan, 0, 0]"),
+    ("extrinsics.translation", "[1.0, 2.0]"),
+    ("extrinsics.yaw", ".nan"),
 ])
 def test_bad_value_exits_2_at_load(dataset, tmp_path, capsys, key, value):
     """`liodom run` rejects the value before it makes the output directory,

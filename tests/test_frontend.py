@@ -1,8 +1,8 @@
 """The per-scan front-end against serial oracles: the k-NN tie contract, the
-voxel filter, and outputs that do not depend on the core count or on which
-k-d tree ICP searches."""
+voxel filter, and outputs that do not depend on the plane-fit chunk size or
+on which k-d tree ICP searches."""
 
-import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from liodom import pointcloud, scan_matching
-from liodom.config import PipelineConfig
 from liodom.geometry import Pose, so3_exp
-from liodom.pipeline import run_pipeline
 from liodom.pointcloud import (PointCloud, SpatialIndex, estimate_normals,
                                voxel_downsample)
 from liodom.scan_matching import IcpParams, match
@@ -65,21 +63,6 @@ def test_knn_k1_shapes_and_values():
     assert d.shape == i.shape == (1,)
     assert i[0] == i_ref[3, 0]
     assert d[0] == pytest.approx(d_ref[3, 0], abs=1e-12)
-
-
-def test_knn_split_into_pieces_matches_one_piece(monkeypatch):
-    rng = np.random.default_rng(7)
-    pts = lattice()[rng.permutation(64)]
-    # lattice queries hold ties, some cut by k; off-lattice ones hold none
-    queries = np.vstack([lattice()[::5], rng.uniform(0.1, 2.9, size=(9, 3))])
-    index = SpatialIndex(PointCloud(0.0, pts))
-    whole = [index.knn(queries, k) for k in (1, 7)]
-    monkeypatch.setattr(pointcloud, "PARALLEL_MIN_ROWS", 1)
-    monkeypatch.setattr(pointcloud, "WORKERS", 3)
-    monkeypatch.setattr(pointcloud, "CHUNK_ROWS", 4)
-    for k, (d_ref, i_ref) in zip((1, 7), whole):
-        d, i = index.knn(queries, k)
-        assert d.tobytes() == d_ref.tobytes() and i.tobytes() == i_ref.tobytes()
 
 
 def voxel_downsample_unique(cloud, voxel):
@@ -144,9 +127,7 @@ def test_normals_do_not_depend_on_the_chunk_count(monkeypatch):
     pts = np.vstack([pts, np.stack([np.linspace(5, 6, 40), np.zeros(40),
                                     np.zeros(40)], axis=1)])
     out = []
-    monkeypatch.setattr(pointcloud, "PARALLEL_MIN_ROWS", 1)
-    for workers, chunk in ((1, 512), (2, 512), (3, 512), (2, 7), (3, 1000)):
-        monkeypatch.setattr(pointcloud, "WORKERS", workers)
+    for chunk in (512, 1, 7, len(pts) + 1):
         monkeypatch.setattr(pointcloud, "CHUNK_ROWS", chunk)
         out.append(estimate_normals(PointCloud(0.0, pts), k=12))
     assert not out[0].valid.all() and out[0].valid.any()
@@ -155,21 +136,9 @@ def test_normals_do_not_depend_on_the_chunk_count(monkeypatch):
         assert other.valid.tobytes() == out[0].valid.tobytes()
 
 
-def test_pipeline_outputs_do_not_depend_on_the_worker_count(dataset, tmp_path,
-                                                            monkeypatch):
-    outputs = []
-    monkeypatch.setattr(pointcloud, "PARALLEL_MIN_ROWS", 1)
-    for workers in (1, 3):
-        monkeypatch.setattr(pointcloud, "WORKERS", workers)
-        out = tmp_path / f"w{workers}"
-        run_pipeline(dataset, PipelineConfig(), str(out))
-        outputs.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
-    assert outputs[0] == outputs[1]
-
-
-def scan_pair(seed):
+def scan_pair(seed, n_per_face=300):
     rng = np.random.default_rng(seed)
-    target = estimate_normals(PointCloud(0.0, noisy_box(rng)), k=12,
+    target = estimate_normals(PointCloud(0.0, noisy_box(rng, n_per_face)), k=12,
                               sensor_origin=np.zeros(3))
     T = Pose(so3_exp([0.01, -0.02, 0.04]), [0.06, -0.03, 0.02])
     source = estimate_normals(
@@ -219,3 +188,20 @@ def test_match_builds_its_own_tree_when_normals_are_invalid(monkeypatch):
     assert m.converged
     assert_same_match(m, match(source, target.valid_subset(), Pose.identity(),
                                IcpParams()))
+
+
+def test_front_end_runs_on_the_calling_thread(monkeypatch):
+    """Normals and ICP on a 6000-point cloud start no thread: the pipeline's
+    front-end thread is the only one a run adds."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    source, target = scan_pair(11, n_per_face=1200)
+    assert len(target) == 6000
+    assert match(source, target, Pose.identity(), IcpParams()).converged
+    assert started == []
