@@ -7,7 +7,7 @@ file is a valid config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -93,29 +93,32 @@ def _build(cls, data: dict, path: str):
         raise ConfigError(f"unknown keys at {path or 'top level'}: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        sub = _SUBSECTIONS.get((cls, name))
-        if sub is not None:
+        f = known[name]
+        if is_dataclass(f.default_factory):         # a section
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}{name} must be a mapping")
-            kwargs[name] = _build(sub, value, f"{path}{name}.")
-        else:
-            kwargs[name] = value
+            kwargs[name] = _build(f.default_factory, value, f"{path}{name}.")
+            continue
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if not _type_matches(value, default):
+            kind = "float" if isinstance(default, float) else type(default).__name__
+            raise ConfigError(f"{path}{name} must be of type {kind}, got {value!r}")
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid config section {path or 'top level'}: {e}") from e
 
 
-_SUBSECTIONS = {
-    (PipelineConfig, "icp"): IcpParams,
-    (PipelineConfig, "frontend"): FrontendConfig,
-    (PipelineConfig, "imu"): ImuNoiseParams,
-    (PipelineConfig, "observability"): ObservabilityConfig,
-    (PipelineConfig, "window"): WindowConfig,
-    (PipelineConfig, "priors"): PriorConfig,
-    (PipelineConfig, "supervisor"): SupervisorConfig,
-    (PipelineConfig, "extrinsics"): ExtrinsicsConfig,
-}
+def _type_matches(value, default) -> bool:
+    """An int may stand for a float, but a bool is never a number; a list's
+    items are matched against its default's first item."""
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_type_matches(v, default[0])
+                                               for v in value)
+    return type(value) is type(default)
 
 
 def load_config(path: str | None) -> PipelineConfig:

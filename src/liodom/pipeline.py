@@ -136,8 +136,8 @@ def _apply_sensor_spec(dataset_dir: str, cfg: PipelineConfig) -> PipelineConfig:
 def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
                  supervisor_on: bool = True) -> None:
     scans, imu, wheel = load_dataset(dataset_dir)
-    os.makedirs(out_dir, exist_ok=True)
     cfg = _apply_sensor_spec(dataset_dir, cfg)
+    os.makedirs(out_dir, exist_ok=True)
     imu_times = np.array([s.timestamp for s in imu])
 
     t_first = int(os.path.basename(scans[0]).split(".")[0]) * 1e-9

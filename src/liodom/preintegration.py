@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,74 +79,16 @@ class PreintegratedDelta:
     dp_dba: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
     bias_lin: ImuBias = field(default_factory=ImuBias)
 
-    def copy(self) -> "PreintegratedDelta":
-        return PreintegratedDelta(
-            self.dR.copy(), self.dv.copy(), self.dp.copy(), self.dt_total,
-            self.covariance.copy(), self.dR_dbg.copy(), self.dv_dbg.copy(),
-            self.dv_dba.copy(), self.dp_dbg.copy(), self.dp_dba.copy(),
-            self.bias_lin)
-
-
-def integrate(delta: PreintegratedDelta, s: ImuSample, dt: float,
-              noise: ImuNoiseParams) -> PreintegratedDelta:
-    """One Euler step at IMU rate; dR/dv on the right-hand sides are the
-    pre-update values."""
-    if dt <= 0:
-        raise ValueError(f"non-positive dt: {dt}")
-    w = s.gyro - delta.bias_lin.gyro_bias
-    a = s.accel - delta.bias_lin.accel_bias
-    return _step(delta, a, dt, so3_exp(w * dt), so3_right_jacobian(w * dt),
-                 skew(a), noise)
-
-
-def _step(delta: PreintegratedDelta, a: np.ndarray, dt: float,
-          incr: np.ndarray, Jr: np.ndarray, skew_a: np.ndarray,
-          noise: ImuNoiseParams) -> PreintegratedDelta:
-    """integrate() given the bias-corrected specific force a, the rotation
-    increment Exp(w dt), its right Jacobian and skew(a)."""
-    d = delta.copy()
-    dRk = d.dR
-
-    # covariance and bias-Jacobian propagation uses the pre-update dR
-    A = np.eye(9)
-    A[0:3, 0:3] = incr.T
-    A[3:6, 0:3] = -dRk @ skew_a * dt
-    A[6:9, 0:3] = -0.5 * dRk @ skew_a * dt**2
-    A[6:9, 3:6] = np.eye(3) * dt
-    B = np.zeros((9, 6))                      # columns: [gyro, accel]
-    B[0:3, 0:3] = Jr * dt
-    B[3:6, 3:6] = dRk * dt
-    B[6:9, 3:6] = 0.5 * dRk * dt**2
-    Q = np.diag(np.concatenate([
-        np.full(3, noise.gyro_noise_density**2 / dt),
-        np.full(3, noise.accel_noise_density**2 / dt)]))
-    d.covariance = A @ d.covariance @ A.T + B @ Q @ B.T
-
-    d.dp_dbg = d.dp_dbg + d.dv_dbg * dt - 0.5 * dRk @ skew_a @ d.dR_dbg * dt**2
-    d.dp_dba = d.dp_dba + d.dv_dba * dt - 0.5 * dRk * dt**2
-    d.dv_dbg = d.dv_dbg - dRk @ skew_a @ d.dR_dbg * dt
-    d.dv_dba = d.dv_dba - dRk * dt
-    d.dR_dbg = incr.T @ d.dR_dbg - Jr * dt
-
-    d.dp = d.dp + d.dv * dt + 0.5 * dRk @ a * dt**2
-    d.dv = d.dv + dRk @ a * dt
-    d.dR = dRk @ incr
-    d.dt_total += dt
-    return d
-
 
 def integrate_window(samples: list[ImuSample], t0: float, t1: float,
                      bias: ImuBias, noise: ImuNoiseParams) -> PreintegratedDelta:
-    """Preintegrate the samples covering [t0, t1).
+    """Preintegrate the samples covering [t0, t1) by Euler steps at IMU rate.
 
     Samples are zero-order-hold between timestamps; the samples straddling
-    the window edges are linearly time-split. The rotation increments of all
-    samples are computed in one stacked call, each as integrate() computes
-    it alone.
-    """
+    the window edges are linearly time-split. Each step propagates the
+    covariance and the bias Jacobians with the pre-update dR."""
     if t1 <= t0:
         raise ValueError("window must have positive duration")
-    d = PreintegratedDelta(bias_lin=bias)
     held, dts = [], []
     for idx, s in enumerate(samples):
         t_next = samples[idx + 1].timestamp if idx + 1 < len(samples) else t1
@@ -155,14 +97,41 @@ def integrate_window(samples: list[ImuSample], t0: float, t1: float,
         if seg1 > seg0:
             held.append(s)
             dts.append(seg1 - seg0)
+    d = PreintegratedDelta(bias_lin=bias)
     if not held:
         return d
     w = np.array([s.gyro for s in held]) - bias.gyro_bias
     a = np.array([s.accel for s in held]) - bias.accel_bias
     phi = w * np.array(dts)[:, None]
     incr, Jr, skew_a = so3_exp(phi), so3_right_jacobian(phi), skew(a)
+    # the blocks written below change per step; every other entry is fixed
+    A = np.eye(9)
+    B = np.zeros((9, 6))                      # columns: [gyro, accel]
+    Q = np.zeros((6, 6))
+    Q_diag = Q.reshape(-1)[::7]               # a view: [gyro, accel]
     for k, dt in enumerate(dts):
-        d = _step(d, a[k], dt, incr[k], Jr[k], skew_a[k], noise)
+        dRk = d.dR
+        A[0:3, 0:3] = incr[k].T
+        A[3:6, 0:3] = -dRk @ skew_a[k] * dt
+        A[6:9, 0:3] = -0.5 * dRk @ skew_a[k] * dt**2
+        A[6:9, 3:6] = np.eye(3) * dt
+        B[0:3, 0:3] = Jr[k] * dt
+        B[3:6, 3:6] = dRk * dt
+        B[6:9, 3:6] = 0.5 * dRk * dt**2
+        Q_diag[:3] = noise.gyro_noise_density**2 / dt
+        Q_diag[3:] = noise.accel_noise_density**2 / dt
+        d.covariance = A @ d.covariance @ A.T + B @ Q @ B.T
+
+        d.dp_dbg = d.dp_dbg + d.dv_dbg * dt - 0.5 * dRk @ skew_a[k] @ d.dR_dbg * dt**2
+        d.dp_dba = d.dp_dba + d.dv_dba * dt - 0.5 * dRk * dt**2
+        d.dv_dbg = d.dv_dbg - dRk @ skew_a[k] @ d.dR_dbg * dt
+        d.dv_dba = d.dv_dba - dRk * dt
+        d.dR_dbg = incr[k].T @ d.dR_dbg - Jr[k] * dt
+
+        d.dp = d.dp + d.dv * dt + 0.5 * dRk @ a[k] * dt**2
+        d.dv = d.dv + dRk @ a[k] * dt
+        d.dR = dRk @ incr[k]
+        d.dt_total = d.dt_total + dt
     return d
 
 
@@ -182,10 +151,8 @@ def correct_for_bias(delta: PreintegratedDelta, new_bias: ImuBias) -> Preintegra
     dba = new_bias.accel_bias - delta.bias_lin.accel_bias
     if max(np.linalg.norm(dbg), np.linalg.norm(dba)) > 0.1:
         warnings.warn("large bias update; first-order correction may be inaccurate")
-    d = delta.copy()
-    d.dR, d.dv, d.dp = bias_corrected(delta, dba, dbg)
-    d.bias_lin = new_bias
-    return d
+    dR, dv, dp = bias_corrected(delta, dba, dbg)
+    return replace(delta, dR=dR, dv=dv, dp=dp, bias_lin=new_bias)
 
 
 def predict(R_i: np.ndarray, p_i: np.ndarray, v_i: np.ndarray,

@@ -40,11 +40,16 @@ class IcpParams:
     normal_compat_angle: float = np.deg2rad(60.0)
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not all(x > 0 for x in (self.max_iterations, self.translation_epsilon,
-                                   self.rotation_epsilon,
+        # written so that NaN fails too; bool is not accepted as an int
+        if type(self.max_iterations) is not int or not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be an integer >= 1, "
+                             f"got {self.max_iterations!r}")
+        if not all(x > 0 for x in (self.translation_epsilon, self.rotation_epsilon,
                                    self.max_correspondence_distance)):
             raise ValueError("ICP thresholds must be positive")
+        if not 0 < self.normal_compat_angle <= np.pi:
+            raise ValueError("normal_compat_angle must be in (0, pi], "
+                             f"got {self.normal_compat_angle!r}")
 
 
 @dataclass

@@ -324,14 +324,11 @@ class FixedLagSmoother:
                     break
                 lam = max(lam * 10.0, 1e-6)
             if not accepted or converged:
-                converged = converged or any_accepted
                 break
-        else:
-            converged = any_accepted
         if any_accepted:
             self.states = X.nodes([s.timestamp for s in self.states])
         # a window where no step could be accepted is reported as degraded
-        self.healthy = converged or n == 1
+        self.healthy = any_accepted or n == 1
         return cost
 
     # ------------------------------------------------------------- marginalize

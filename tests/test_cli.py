@@ -62,10 +62,12 @@ def test_malformed_sensor_yaml_exits_2_without_traceback(dataset, tmp_path,
     d = tmp_path / "ds"
     shutil.copytree(dataset, d)
     (d / "sensor.yaml").write_text(spec)
-    assert main(["run", str(d), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", str(d), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _raise_linalg(*args, **kwargs):

@@ -133,6 +133,13 @@ def test_imu_section_is_noise_params(tmp_path):
     ("extrinsics.translation", "[.nan, 0, 0]"),
     ("extrinsics.translation", "[1.0, 2.0]"),
     ("extrinsics.yaw", ".nan"),
+    ("icp.max_iterations", "30.5"),
+    ("icp.max_iterations", "true"),
+    ("icp.normal_compat_angle", ".nan"),
+    ("frontend.voxel_size", "abc"),
+    ("extrinsics.translation", "5"),
+    ("extrinsics.translation", "[abc, 0, 0]"),
+    ("extrinsics.translation", "[true, 0, 0]"),
 ])
 def test_bad_value_exits_2_at_load(dataset, tmp_path, capsys, key, value):
     """`liodom run` rejects the value before it makes the output directory,

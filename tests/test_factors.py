@@ -7,7 +7,7 @@ from liodom.factors import (BA, BG, P, STATE_DIM, T_E, THETA, THETA_E, V,
                             WalkFactor, sqrt_info_from_cov)
 from liodom.geometry import Pose, so3_exp
 from liodom.preintegration import (ImuBias, ImuNoiseParams, ImuSample,
-                                   PreintegratedDelta, integrate)
+                                   integrate_window)
 from liodom.scan_matching import RelativePoseMeasurement
 
 
@@ -24,13 +24,9 @@ def random_state(rng, t=0.0):
 
 
 def random_delta(rng, n=40, dt=0.005):
-    noise = ImuNoiseParams()
-    d = PreintegratedDelta()
-    for i in range(n):
-        s = ImuSample(i * dt, rng.normal(scale=2.0, size=3),
-                      rng.normal(scale=0.5, size=3))
-        d = integrate(d, s, dt, noise)
-    return d
+    samples = [ImuSample(i * dt, rng.normal(scale=2.0, size=3),
+                         rng.normal(scale=0.5, size=3)) for i in range(n)]
+    return integrate_window(samples, 0.0, n * dt, ImuBias(), ImuNoiseParams())
 
 
 def fd_jacobians(factor, states, eps=1e-7):

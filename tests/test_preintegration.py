@@ -5,8 +5,8 @@ from liodom.factors import STATE_DIM, ImuFactor, StateNode
 from liodom.geometry import so3_exp
 from liodom.preintegration import (ImuBias, ImuNoiseParams, ImuSample,
                                    PreintegratedDelta, correct_for_bias,
-                                   integrate, integrate_window, load_imu_csv,
-                                   predict, save_imu_csv)
+                                   integrate_window, load_imu_csv, predict,
+                                   save_imu_csv)
 
 NOISE = ImuNoiseParams()
 GRAVITY_W = NOISE.gravity_W
@@ -21,6 +21,12 @@ def synth_samples(rng, n=100, dt=0.005, bias=None):
             rng.normal(scale=2.0, size=3) + bias.accel_bias,
             rng.normal(scale=0.5, size=3) + bias.gyro_bias))
     return samples
+
+
+def integrate_all(samples, dt):
+    """integrate_window at zero bias over all of samples, each held for dt."""
+    return integrate_window(samples, samples[0].timestamp,
+                            samples[-1].timestamp + dt, ImuBias(), NOISE)
 
 
 def dense_oracle(samples, dt, bias):
@@ -41,9 +47,7 @@ def test_delta_matches_dense_integration_oracle():
     rng = np.random.default_rng(0)
     dt = 0.005
     samples = synth_samples(rng, n=200, dt=dt)
-    d = PreintegratedDelta()
-    for s in samples:
-        d = integrate(d, s, dt, NOISE)
+    d = integrate_all(samples, dt)
     dR, dv, dp = dense_oracle(samples, dt, ImuBias())
     assert np.allclose(d.dR, dR, atol=1e-6)
     assert np.allclose(d.dv, dv, atol=1e-6)
@@ -63,9 +67,6 @@ def test_integrate_window_time_splitting():
 
 def test_integrate_rejects_non_positive_dt():
     with pytest.raises(ValueError):
-        integrate(PreintegratedDelta(), ImuSample(0, np.zeros(3), np.zeros(3)),
-                  0.0, NOISE)
-    with pytest.raises(ValueError):
         integrate_window([], 1.0, 1.0, ImuBias(), NOISE)
 
 
@@ -76,11 +77,10 @@ def test_noise_params_validation():
 
 def test_covariance_symmetric_psd_and_growing():
     rng = np.random.default_rng(1)
-    d = PreintegratedDelta()
+    samples = synth_samples(rng, n=50)
     prev_trace = 0.0
-    for s in synth_samples(rng, n=50):
-        d = integrate(d, s, 0.005, NOISE)
-        C = d.covariance
+    for m in range(1, len(samples) + 1):
+        C = integrate_all(samples[:m], 0.005).covariance
         assert np.allclose(C, C.T)
         assert np.all(np.linalg.eigvalsh(C) > -1e-18)
         assert np.trace(C) > prev_trace
@@ -93,10 +93,7 @@ def test_bias_correction_matches_reintegration_first_order():
     rng = np.random.default_rng(2)
     dt = 0.005
     samples = synth_samples(rng, n=100, dt=dt)
-    b0 = ImuBias()
-    d = PreintegratedDelta(bias_lin=b0)
-    for s in samples:
-        d = integrate(d, s, dt, NOISE)
+    d = integrate_all(samples, dt)
     db = 1e-4
     b1 = ImuBias(accel_bias=[db, -db, db], gyro_bias=[-db, db, db])
     corrected = correct_for_bias(d, b1)
@@ -116,10 +113,8 @@ def test_stationary_prediction_drift():
     """A stationary IMU reading pure gravity must predict < 1e-6 m motion
     over one second."""
     dt = 1.0 / 200.0
-    d = PreintegratedDelta()
-    for i in range(200):
-        s = ImuSample(i * dt, -GRAVITY_W, np.zeros(3))
-        d = integrate(d, s, dt, NOISE)
+    d = integrate_all([ImuSample(i * dt, -GRAVITY_W, np.zeros(3))
+                       for i in range(200)], dt)
     R0 = np.eye(3)
     R1, p1, v1 = predict(R0, np.zeros(3), np.zeros(3), d, GRAVITY_W)
     assert np.linalg.norm(p1) < 1e-6
@@ -137,9 +132,7 @@ def imu_factor(R_i, p_i, v_i, bias_i, R_j, p_j, v_j, d):
 
 def test_residual_zero_at_predicted_state():
     rng = np.random.default_rng(3)
-    d = PreintegratedDelta()
-    for s in synth_samples(rng, n=60):
-        d = integrate(d, s, 0.005, NOISE)
+    d = integrate_all(synth_samples(rng, n=60), 0.005)
     R_i = so3_exp(rng.uniform(-1, 1, 3))
     p_i = rng.normal(size=3)
     v_i = rng.normal(size=3)
@@ -166,9 +159,7 @@ def finite_difference_jacobians(f, states, eps=1e-6):
 def test_residual_jacobians_match_finite_differences():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        d = PreintegratedDelta()
-        for s in synth_samples(rng, n=40):
-            d = integrate(d, s, 0.005, NOISE)
+        d = integrate_all(synth_samples(rng, n=40), 0.005)
         R_i = so3_exp(rng.uniform(-1, 1, 3))
         p_i = rng.normal(size=3)
         v_i = rng.normal(size=3)
