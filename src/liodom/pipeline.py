@@ -1,16 +1,18 @@
 """End-to-end run: dataset in, trajectories and logs out.
 
 The run is two stages. The front-end (load, downsample, normals,
-observability) reads no smoother state, so it runs on a worker thread one
-scan ahead of the back-end (preintegration, scan-to-scan ICP, the fixed-lag
-smoother), which runs on the calling thread; the dataset's wheel-inertial
-odometry, when it has one, and the switching supervisor produce the unified
-output alongside the raw estimator trajectories.
+observability) reads no smoother state, so `WORKERS` threads run it, one
+scan each, up to `WORKERS` scans ahead of the back-end (preintegration,
+scan-to-scan ICP, the fixed-lag smoother), which runs on the calling thread;
+the dataset's wheel-inertial odometry, when it has one, and the switching
+supervisor produce the unified output alongside the raw estimator
+trajectories.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import replace
@@ -26,6 +28,12 @@ from .preintegration import ImuSample, integrate_window, load_imu_csv
 from .scan_matching import Gap, gravity_align_guess, match
 from .smoother import FixedLagSmoother
 from .supervisor import SourceStatus, Supervisor
+
+
+# front-end threads, and so scans in flight: one per core this process may
+# run on
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 class DatasetError(ValueError):
@@ -86,21 +94,25 @@ def _front_end_scan(path: str, cfg: PipelineConfig, threshold: float
 def front_end(scans: list[str], cfg: PipelineConfig, threshold: float):
     """Yield `_front_end_scan` of each scan path in order.
 
-    One worker thread runs the stage one scan ahead: scan k+1 is submitted
-    only once scan k is taken, so at most one scan is in flight while the
-    caller works on the one before it. The stage reads nothing the caller
-    writes, so its results do not depend on the scheduling. Close the
-    generator (`contextlib.closing`) so that an early exit waits for the
-    scan in flight, drops its result and ends the thread with the run; an
-    error in the stage is raised to the caller when it takes that scan.
+    `WORKERS` threads run the stage, each on its own scan. Scan k+`WORKERS`
+    is submitted only once scan k is taken, so at most `WORKERS` scans are
+    in flight while the caller works on the one before them; with one
+    worker that is one scan ahead. The stage reads nothing the caller
+    writes, so its results do not depend on the scheduling or on the
+    worker count. Close the generator (`contextlib.closing`) so that an
+    early exit waits for the scans in flight, drops their results and ends
+    the threads with the run; an error in the stage is raised to the caller
+    when it takes that scan.
     """
-    with ThreadPoolExecutor(1, thread_name_prefix="liodom-front-end") as worker:
-        ahead = worker.submit(_front_end_scan, scans[0], cfg, threshold)
-        for path in scans[1:]:
-            scan = ahead.result()
-            ahead = worker.submit(_front_end_scan, path, cfg, threshold)
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix="liodom-front-end") as pool:
+        ahead = deque(pool.submit(_front_end_scan, path, cfg, threshold)
+                      for path in scans[:WORKERS])
+        for path in scans[WORKERS:]:
+            scan = ahead.popleft().result()
+            ahead.append(pool.submit(_front_end_scan, path, cfg, threshold))
             yield scan
-        yield ahead.result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _imu_slice(imu: list[ImuSample], times: np.ndarray,

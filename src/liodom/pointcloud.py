@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-# rows of plane fits done at a time: bounds the (rows, k, 3) temporaries
-# that the gather and centring make
+# rows of neighbour queries and plane fits done at a time: bounds the
+# (rows, k) neighbour tables and the (rows, k, 3) temporaries that the
+# gather and centring make
 CHUNK_ROWS = 512
 
 
@@ -107,8 +108,7 @@ def estimate_normals(cloud: PointCloud, k: int = 10,
         raise ValueError(f"need at least k={k} >= 3 points, have {len(cloud)}")
     origin = np.zeros(3) if sensor_origin is None else np.asarray(sensor_origin, float)
     index = SpatialIndex(cloud)
-    _, nbr = index.knn(cloud.points, k)
-    w, v = _plane_fits(cloud.points, nbr)           # ascending eigenvalues
+    w, v = _plane_fits(index, k)                    # ascending eigenvalues
     normals = v[:, :, 0]
     # collinear neighborhood: two vanishing eigenvalues relative to the largest
     scale = np.maximum(w[:, 2], 1e-30)
@@ -122,18 +122,21 @@ def estimate_normals(cloud: PointCloud, k: int = 10,
                       index)
 
 
-def _plane_fits(points: np.ndarray, nbr: np.ndarray):
-    """Eigen-decomposition of each neighbourhood's covariance, for the
-    neighbour table `nbr` (N, k), CHUNK_ROWS rows at a time.
+def _plane_fits(index: SpatialIndex, k: int):
+    """Eigen-decomposition of the covariance of each indexed point's k
+    nearest neighbours, CHUNK_ROWS rows at a time: each piece's neighbours
+    are queried just before it is fitted.
 
-    Every row's arithmetic is the same however the rows are split, so the
-    result does not depend on CHUNK_ROWS.
+    Every row's query and arithmetic are the same however the rows are
+    split, so the result does not depend on CHUNK_ROWS.
     """
-    w = np.empty((len(nbr), 3))
-    v = np.empty((len(nbr), 3, 3))
-    for start in range(0, len(nbr), CHUNK_ROWS):
+    points = index.cloud.points
+    w = np.empty((len(points), 3))
+    v = np.empty((len(points), 3, 3))
+    for start in range(0, len(points), CHUNK_ROWS):
         stop = start + CHUNK_ROWS
-        neigh = np.take(points, nbr[start:stop], axis=0)    # (n, k, 3)
+        _, nbr = index.knn(points[start:stop], k)
+        neigh = np.take(points, nbr, axis=0)                # (n, k, 3)
         centered = neigh - neigh.mean(axis=1, keepdims=True)
         cov = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
         w[start:stop], v[start:stop] = np.linalg.eigh(cov)

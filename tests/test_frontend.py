@@ -121,6 +121,9 @@ def noisy_box(rng, n_per_face=300, half=3.0):
 
 
 def test_normals_do_not_depend_on_the_chunk_count(monkeypatch):
+    """Normals and validity flags are the same bytes whether the neighbour
+    queries and plane fits run in pieces of 512 rows, of 1, of 7 or in one
+    piece: both the per-piece k-d tree query and the fits split by row."""
     rng = np.random.default_rng(8)
     pts = noisy_box(rng)
     # a collinear run gives some invalid rows too
@@ -134,6 +137,25 @@ def test_normals_do_not_depend_on_the_chunk_count(monkeypatch):
     for other in out[1:]:
         assert other.normals.tobytes() == out[0].normals.tobytes()
         assert other.valid.tobytes() == out[0].valid.tobytes()
+
+
+def test_normals_query_neighbours_one_piece_at_a_time(monkeypatch):
+    """No k-NN call of `estimate_normals` gets more than CHUNK_ROWS query
+    rows, so the (N, k) neighbour tables of a whole scan never exist at
+    once; the pieces still cover every point."""
+    rows = []
+    knn = SpatialIndex.knn
+
+    def record(self, query, k):
+        rows.append(len(np.asarray(query).reshape(-1, 3)))
+        return knn(self, query, k)
+
+    monkeypatch.setattr(SpatialIndex, "knn", record)
+    cloud = PointCloud(0.0, noisy_box(np.random.default_rng(12), 1200))
+    assert len(cloud) == 6000
+    estimate_normals(cloud, k=40)
+    assert max(rows) <= pointcloud.CHUNK_ROWS
+    assert sum(rows) == len(cloud)
 
 
 def scan_pair(seed, n_per_face=300):
@@ -192,7 +214,7 @@ def test_match_builds_its_own_tree_when_normals_are_invalid(monkeypatch):
 
 def test_front_end_runs_on_the_calling_thread(monkeypatch):
     """Normals and ICP on a 6000-point cloud start no thread: the pipeline's
-    front-end thread is the only one a run adds."""
+    front-end workers are the only threads a run adds."""
     started = []
     start = threading.Thread.start
 

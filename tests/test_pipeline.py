@@ -156,13 +156,17 @@ def test_no_wheel_odometry_gives_lio_as_unified(dataset, tmp_path, wheel_csv):
         == ["time,from,to,reason"]
 
 
-def test_front_end_loads_each_scan_once_one_scan_ahead(dataset, tmp_path,
-                                                       monkeypatch):
-    """Every scan is loaded exactly once, in time order, on one thread that
-    is not the caller's, and at most one scan ahead of the back-end: the
-    load of scan k+2 starts only after scan k's keyframe is added. The
-    back-end is slowed down, so that a stage running further ahead would
-    have loaded scan k+2 by then."""
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_front_end_loads_each_scan_once_at_most_workers_ahead(
+        dataset, tmp_path, monkeypatch, workers):
+    """Every scan is loaded exactly once, on at most `WORKERS` threads that
+    are not the caller's, and at most `WORKERS` scans ahead of the
+    back-end: the load of scan k+`WORKERS`+1 starts only after scan k's
+    keyframe is added. The back-end is slowed down, so that a stage running
+    further ahead would have loaded that scan by then, and so that with
+    several workers some scan k+2 is loaded before keyframe k. The order in
+    which loads on different threads are recorded is not asserted: two
+    workers can race on it."""
     events = []
     load_csv, add_keyframe = pipeline.load_csv, FixedLagSmoother.add_keyframe
 
@@ -175,6 +179,7 @@ def test_front_end_loads_each_scan_once_one_scan_ahead(dataset, tmp_path,
         events.append(("keyframe", t, threading.current_thread()))
         add_keyframe(self, t, delta, lidar)
 
+    monkeypatch.setattr(pipeline, "WORKERS", workers)
     monkeypatch.setattr(pipeline, "load_csv", record_load)
     monkeypatch.setattr(FixedLagSmoother, "add_keyframe", record_keyframe)
     threads = threading.active_count()
@@ -183,15 +188,35 @@ def test_front_end_loads_each_scan_once_one_scan_ahead(dataset, tmp_path,
 
     times = [int(os.path.basename(p).split(".")[0]) * 1e-9
              for p in load_dataset(dataset)[0]]
-    for kind in ("load", "keyframe"):
-        assert [t for k, t, _ in events if k == kind] == times, kind
+    assert sorted(t for k, t, _ in events if k == "load") == times
+    assert [t for k, t, _ in events if k == "keyframe"] == times
     caller = threading.current_thread()
     loaders = {th for k, _, th in events if k == "load"}
-    assert len(loaders) == 1 and caller not in loaders
+    assert len(loaders) <= workers and caller not in loaders
     assert {th for k, _, th in events if k == "keyframe"} == {caller}
     at = {(k, t): i for i, (k, t, _) in enumerate(events)}
-    for k in range(len(times) - 2):
-        assert at["keyframe", times[k]] < at["load", times[k + 2]], k
+    for k in range(len(times) - workers - 1):
+        assert at["keyframe", times[k]] < at["load", times[k + workers + 1]], k
+    if workers >= 2:
+        assert any(at["load", times[k + 2]] < at["keyframe", times[k]]
+                   for k in range(len(times) - 2))
+
+
+def test_outputs_do_not_depend_on_the_worker_count(dataset, tmp_path,
+                                                   monkeypatch):
+    """`run_pipeline` and `liodom obs` write the same bytes with one
+    front-end worker as with three."""
+    for workers in (1, 3):
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
+        run_pipeline(dataset, PipelineConfig(), str(tmp_path / f"run{workers}"))
+        assert main(["obs", dataset, "--out", str(tmp_path / f"obs{workers}")]) == 0
+    for kind in ("run", "obs"):
+        names = sorted(os.listdir(tmp_path / f"{kind}1"))
+        assert names == sorted(os.listdir(tmp_path / f"{kind}3"))
+        for name in names:
+            assert (tmp_path / f"{kind}1" / name).read_bytes() \
+                == (tmp_path / f"{kind}3" / name).read_bytes(), (kind, name)
+    assert set(OUTPUTS) <= set(os.listdir(tmp_path / "run1"))
 
 
 def _nan_row_in_scan_10(d, monkeypatch):
@@ -213,18 +238,27 @@ def _singular_third_keyframe(d, monkeypatch):
     monkeypatch.setattr(FixedLagSmoother, "optimize", failing)
 
 
-@pytest.mark.parametrize("fault, code, message", [
-    (_nan_row_in_scan_10, 2, "data error:"),
-    (_singular_third_keyframe, 3, "numerical failure:"),
+@pytest.mark.parametrize("fault, code, message, workers", [
+    pytest.param(_nan_row_in_scan_10, 2, "data error:", None,
+                 id="_nan_row_in_scan_10-2-data error:"),
+    pytest.param(_singular_third_keyframe, 3, "numerical failure:", None,
+                 id="_singular_third_keyframe-3-numerical failure:"),
+    pytest.param(_nan_row_in_scan_10, 2, "data error:", 2,
+                 id="_nan_row_in_scan_10-two-workers"),
+    pytest.param(_singular_third_keyframe, 3, "numerical failure:", 2,
+                 id="_singular_third_keyframe-two-workers"),
 ])
 def test_fault_mid_run_exits_with_its_code_and_leaves_no_thread(
-        dataset, tmp_path, monkeypatch, capsys, fault, code, message):
+        dataset, tmp_path, monkeypatch, capsys, fault, code, message, workers):
     """A bad scan raised in the front-end stage and a numerical failure in
-    the back-end, while the next scan is in flight, both end the run with
-    their documented exit code, and no thread outlives it."""
+    the back-end, while later scans are in flight, both end the run with
+    their documented exit code, and no thread outlives it: with this
+    host's worker count, and with two workers whatever the host."""
     d = tmp_path / "ds"
     shutil.copytree(dataset, d)
     fault(d, monkeypatch)
+    if workers is not None:
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
     threads = threading.active_count()
     assert main(["run", str(d), "--out", str(tmp_path / "out")]) == code
     assert threading.active_count() == threads

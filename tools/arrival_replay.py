@@ -10,10 +10,12 @@ generated once, then each SRC replays it `--pairs` times, in its own
 process with BLAS pinned to one thread, rotating which SRC goes first.
 
 Scans arrive on an open loop: scan k is due at start + k / rate, where
-start is the first scan's load, and `pipeline.load_csv` waits until its scan
-is due. `--rate 0` makes every scan due at start, a backlogged batch replay
-like perfbench's. A scan's pose is out when the smoother's `optimize` for it
-returns. Per run it prints, one JSON line each:
+start is the first call of `pipeline.load_csv`, and each call waits until
+its scan is due. The front-end can have several loads in flight, so each
+call's stamps are keyed by the scan's timestamp, which `_front_end_scan`
+passes, not by call order. `--rate 0` makes every scan due at start, a
+backlogged batch replay like perfbench's. A scan's pose is out when the
+smoother's `optimize` for it returns. Per run it prints, one JSON line each:
 
 - `due_to_pose_ms`: from the scan's due time to its pose (rate > 0 only),
   which counts the wait behind earlier scans;
@@ -41,23 +43,27 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPLAY = """
-import json, sys, time
+import json, os, sys, threading, time
 sys.path.insert(0, sys.argv[1])
 from liodom import pipeline, smoother
 from liodom.config import PipelineConfig
 
 rate = float(sys.argv[4])
 load_csv, optimize = pipeline.load_csv, smoother.FixedLagSmoother.optimize
+scan_index = {int(os.path.basename(p).split(".")[0]) * 1e-9: k
+              for k, p in enumerate(pipeline.load_dataset(sys.argv[2])[0])}
+start, lock = [], threading.Lock()
 due, load, pose = [], [], []
 
-def scheduled_load(*args, **kwargs):
-    if not due:
-        due.append(time.perf_counter())
-    else:
-        due.append(due[0] + (len(due) / rate if rate else 0.0))
-    time.sleep(max(0.0, due[-1] - time.perf_counter()))
-    load.append(time.perf_counter())
-    return load_csv(*args, **kwargs)
+def scheduled_load(path, timestamp=None):
+    with lock:
+        if not start:
+            start.append(time.perf_counter())
+    d = start[0] + (scan_index[timestamp] / rate if rate else 0.0)
+    time.sleep(max(0.0, d - time.perf_counter()))
+    due.append((timestamp, d))
+    load.append((timestamp, time.perf_counter()))
+    return load_csv(path, timestamp=timestamp)
 
 def stamped_optimize(self):
     cost = optimize(self)
@@ -78,10 +84,16 @@ def tail_percentile(n: int) -> int:
 
 
 def summarize(stamps: dict, rate: float) -> dict:
-    due, load, pose = stamps["due"], stamps["load"], stamps["pose"]
-    if not len(due) == len(load) == len(pose):
-        raise RuntimeError(f"{len(due)} scans due, {len(load)} loaded, "
-                           f"{len(pose)} poses: one optimize per scan expected")
+    """Timings of one run. `due` and `load` are (scan timestamp, stamp)
+    pairs in any order; `pose` holds one stamp per scan in scan order, as
+    the back-end runs on one thread."""
+    due, load, pose = dict(stamps["due"]), dict(stamps["load"]), stamps["pose"]
+    if not (len(stamps["due"]) == len(stamps["load"]) == len(due) == len(pose)
+            and due.keys() == load.keys()):
+        raise RuntimeError(f"{len(stamps['due'])} scans due, "
+                           f"{len(stamps['load'])} loaded, {len(pose)} poses: "
+                           "one load and one optimize per scan expected")
+    due, load = ([stamp[t] for t in sorted(stamp)] for stamp in (due, load))
     n = len(pose)
     tail = tail_percentile(n)
 
