@@ -86,28 +86,29 @@ class ConfigError(ValueError):
     pass
 
 
-def _build(cls, data: dict, path: str):
+def _build(cls, data: dict, section: str):
+    prefix = f"{section}." if section else ""
     known = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
-        raise ConfigError(f"unknown keys at {path or 'top level'}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys at {section or 'top level'}: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
         f = known[name]
         if is_dataclass(f.default_factory):         # a section
             if not isinstance(value, dict):
-                raise ConfigError(f"{path}{name} must be a mapping")
-            kwargs[name] = _build(f.default_factory, value, f"{path}{name}.")
+                raise ConfigError(f"{prefix}{name} must be a mapping")
+            kwargs[name] = _build(f.default_factory, value, prefix + name)
             continue
         default = f.default if f.default is not MISSING else f.default_factory()
         if not _type_matches(value, default):
             kind = "float" if isinstance(default, float) else type(default).__name__
-            raise ConfigError(f"{path}{name} must be of type {kind}, got {value!r}")
+            raise ConfigError(f"{prefix}{name} must be of type {kind}, got {value!r}")
         kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid config section {path or 'top level'}: {e}") from e
+        raise ConfigError(f"invalid config section {section or 'top level'}: {e}") from e
 
 
 def _type_matches(value, default) -> bool:

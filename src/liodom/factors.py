@@ -47,6 +47,15 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([a[None] for a in arrays])
 
 
+def _as_slice(idx: list[int]) -> slice | np.ndarray:
+    """The indices idx as a slice, which takes views, when they are
+    consecutive, else as an array."""
+    start = idx[0]
+    if idx == list(range(start, start + len(idx))):
+        return slice(start, start + len(idx))
+    return np.array(idx)
+
+
 def _diff(k: int, a: np.ndarray, b: np.ndarray, jacobians: bool = False
           ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Tangent difference from a to b of block k, over stacks: Log(a^T b) on
@@ -232,13 +241,9 @@ class FactorBatch:
         self.kind = type(factors[0])
         self.const = self.kind.stack(factors)
         self.sqrt_info = _stack([f.sqrt_info for f in factors])
-        # rows[a] picks the states at indices[a] of every factor: a slice,
-        # which takes views, when they are consecutive
-        self.rows = []
-        for col in np.array([f.indices for f in factors]).T:
-            consecutive = np.array_equal(col, np.arange(col[0], col[0] + len(col)))
-            self.rows.append(slice(col[0], col[0] + len(col)) if consecutive
-                             else col)
+        # rows[a] picks the states at indices[a] of every factor
+        self.rows = [_as_slice(list(col))
+                     for col in zip(*(f.indices for f in factors))]
         fixed = factors[0].fixed
         self.fixed = None if fixed is None else (
             [np.concatenate([f.fixed[0][a] for f in factors])

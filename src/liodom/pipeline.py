@@ -25,7 +25,7 @@ from .geometry import Pose, compose, rot_z, so3_exp
 from .observability import ObservabilityLog, ObservabilityReport, assess
 from .pointcloud import PointCloud, estimate_normals, load_csv, voxel_downsample
 from .preintegration import ImuSample, integrate_window, load_imu_csv
-from .scan_matching import Gap, gravity_align_guess, match
+from .scan_matching import gravity_align_guess, match
 from .smoother import FixedLagSmoother
 from .supervisor import SourceStatus, Supervisor
 
@@ -187,17 +187,15 @@ def run_pipeline(dataset_dir: str, cfg: PipelineConfig, out_dir: str,
             else:
                 delta = integrate_window(_imu_slice(imu, imu_times, prev_t, t),
                                          prev_t, t, sm.latest.bias, cfg.imu)
-                extr = sm.extrinsics_estimate()
-                init = gravity_align_guess(delta.dR, extr, np.eye(3))
-                if cloud is not None and prev_cloud is not None:
-                    meas = match(cloud, prev_cloud, init, cfg.icp)
-                else:
-                    meas = Gap(prev_t, t, "missing scan")
+                init = gravity_align_guess(delta.dR, sm.latest.extrinsics_BL(),
+                                           np.eye(3))
+                meas = (match(cloud, prev_cloud, init, cfg.icp)
+                        if cloud is not None and prev_cloud is not None else None)
                 sm.add_keyframe(t, delta, meas)
                 sm.optimize()
                 sm.marginalize()
 
-                if isinstance(meas, Gap) or not meas.converged:
+                if meas is None or not meas.converged:
                     T_WL_s2s = compose(T_WL_s2s, init)
                 else:
                     T_WL_s2s = compose(T_WL_s2s, meas.transform)

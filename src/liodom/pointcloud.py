@@ -170,25 +170,17 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
 
 
 def save_csv(cloud: PointCloud, path: str) -> None:
-    """Write `x,y,z[,nx,ny,nz]` rows with header."""
-    if cloud.has_normals:
-        header = "x,y,z,nx,ny,nz"
-        data = np.hstack([cloud.points, cloud.normals])
-    else:
-        header = "x,y,z"
-        data = cloud.points
-    np.savetxt(path, data, fmt="%.9f", delimiter=",", header=header, comments="")
+    """Write the points as `x,y,z` rows with header."""
+    np.savetxt(path, cloud.points, fmt="%.9f", delimiter=",", header="x,y,z",
+               comments="")
 
 
 def load_csv(path: str, timestamp: float | None = None) -> PointCloud:
-    """Read a cloud written by save_csv; timestamp defaults to the filename
-    convention `<t_ns>.csv` (nanoseconds)."""
+    """Read the points, the first three columns, of a cloud written by
+    save_csv; timestamp defaults to the filename convention `<t_ns>.csv`
+    (nanoseconds)."""
     if timestamp is None:
         stem = os.path.splitext(os.path.basename(path))[0]
         timestamp = int(stem) * 1e-9
-    with open(path) as f:
-        header = f.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if len(header) >= 6:
-        return PointCloud(timestamp, data[:, :3], data[:, 3:6])
     return PointCloud(timestamp, data[:, :3])

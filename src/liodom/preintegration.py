@@ -97,9 +97,9 @@ def integrate_window(samples: list[ImuSample], t0: float, t1: float,
         if seg1 > seg0:
             held.append(s)
             dts.append(seg1 - seg0)
-    d = PreintegratedDelta(bias_lin=bias)
     if not held:
-        return d
+        raise ValueError(f"no IMU sample covers [{t0:.9f}, {t1:.9f})")
+    d = PreintegratedDelta(bias_lin=bias)
     w = np.array([s.gyro for s in held]) - bias.gyro_bias
     a = np.array([s.accel for s in held]) - bias.accel_bias
     phi = w * np.array(dts)[:, None]

@@ -62,14 +62,6 @@ class RelativePoseMeasurement:
     converged: bool
 
 
-@dataclass
-class Gap:
-    """Marker emitted when a scan pair produced no usable measurement."""
-    timestamp_from: float
-    timestamp_to: float
-    reason: str
-
-
 def gravity_align_guess(imu_attitude: np.ndarray, extrinsics: Pose,
                         prev_attitude: np.ndarray) -> Pose:
     """Relative lidar-frame rotation implied by two IMU attitudes.

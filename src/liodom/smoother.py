@@ -16,11 +16,11 @@ import scipy.linalg
 from .factors import (BA, BG, P, STATE_DIM, T_E, THETA, THETA_E, V, Factor,
                       FactorBatch, ImuFactor, LidarRelativeFactor,
                       LinearizedPriorFactor, PriorFactor, StateNode, StateStack,
-                      WalkFactor)
+                      WalkFactor, _as_slice)
 from .geometry import Pose
 from .preintegration import (ImuBias, ImuNoiseParams, PreintegratedDelta,
                              correct_for_bias, predict)
-from .scan_matching import Gap, RelativePoseMeasurement
+from .scan_matching import RelativePoseMeasurement
 
 
 @dataclass
@@ -101,53 +101,42 @@ def _gn_step(ab: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
 
 
 class _Chain:
-    """The factors of a chain window, grouped for one evaluation per kind:
-    one FactorBatch per kind of edge factor on states (i, i + 1), and the
-    priors on one state, kept one by one.
+    """The factors of a chain window, one FactorBatch per kind and offsets.
 
-    Each contribution lands in D, U, g and the cost in the order the factors
-    sit in the list, so every sum keeps the bits of a loop over the factors.
-    The edge factors must come in increasing i, each edge's kinds in the
-    order of their first appearance; the constructor checks this. Then the
-    stages below add into every state in list order: stage s < K adds kind s
-    into the state each of its edges ends at, stage K + s adds kind s into
-    the state each starts at. A prior is added right after the last stage
-    that adds a factor placed before it into its state."""
+    A factor sits on one state (i,) or on two adjacent states (i, i + 1).
+    Step r adds into each row of D, g and U the r-th of its terms in list
+    order, with one add per batch and end. A row takes at most one term per
+    step, so every sum adds its terms in list order, as a loop over the
+    factors does, whatever order the factors come in."""
 
     def __init__(self, factors: list[Factor]):
         self.size = len(factors)
-        priors, kinds = [], {}               # kinds: kind -> [(position, factor)]
-        last = (-1, -1)
+        members = {}                         # (kind, offsets) -> (b, positions)
+        steps = {}                           # (step, b, end) -> (members, rows)
+        added = {}                           # row -> its terms so far
         for pos, f in enumerate(factors):
-            lo = min(f.indices)
-            if max(f.indices) - lo > 1:
-                raise ValueError(f"{type(f).__name__} links non-adjacent "
-                                 f"states {f.indices}")
-            if len(f.indices) == 1:
-                priors.append((pos, f))
-                continue
-            key = (type(f), f.offsets)
-            rank = list(kinds).index(key) if key in kinds else len(kinds)
-            if f.indices != (lo, lo + 1) or (lo, rank) <= last:
-                raise ValueError(f"{type(f).__name__} on states {f.indices} "
-                                 "breaks the chain order of the factors")
-            last = (lo, rank)
-            kinds.setdefault(key, []).append((pos, f))
-        self.edges = [(np.array([pos for pos, _ in group]),
-                       FactorBatch([f for _, f in group]))
-                      for group in kinds.values()]
-        n_kinds = len(self.edges)
-        # after_stage[s + 1]: the priors added right after stage s
-        self.after_stage = [[] for _ in range(2 * n_kinds + 1)]
-        for pos, f in priors:
-            i, stage = f.indices[0], -1
-            for s, group in enumerate(kinds.values()):
-                for p, e in group:
-                    if p < pos and e.indices[1] == i:
-                        stage = max(stage, s)
-                    elif p < pos and e.indices[0] == i:
-                        stage = max(stage, n_kinds + s)
-            self.after_stage[stage + 1].append((np.array([pos]), FactorBatch([f])))
+            i = f.indices[0]
+            if f.indices not in ((i,), (i, i + 1)):
+                raise ValueError(f"{type(f).__name__} on states {f.indices} is "
+                                 "off the band of (i,) and (i, i + 1)")
+            b, group = members.setdefault((type(f), f.offsets),
+                                          (len(members), []))
+            # ends 0 and 1 add into D and g at their state, end 2 into U at
+            # row i, which ~i keeps apart from D's row i
+            for a, s in enumerate(f.indices + f.indices[:len(f.indices) - 1]):
+                row = ~s if a == 2 else s
+                r = added.get(row, 0)
+                added[row] = r + 1
+                take, rows = steps.setdefault((r, b, a), ([], []))
+                take.append(len(group))
+                rows.append(s)
+            group.append(pos)
+        self.batches = [(np.array(pos), FactorBatch([factors[p] for p in pos]))
+                        for _, pos in members.values()]
+        self.diagonal, self.upper = [], []
+        for (_, b, a), (take, rows) in sorted(steps.items()):
+            (self.upper if a == 2 else self.diagonal).append(
+                (b, a, _as_slice(take), _as_slice(rows)))
 
     def assemble(self, X: StateStack
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -157,33 +146,20 @@ class _Chain:
         U = np.zeros((n - 1, STATE_DIM, STATE_DIM))
         g = np.zeros((n, STATE_DIM))
         costs = np.empty(self.size)
-
-        def add_priors(priors):
-            for pos, batch in priors:
-                costs[pos], (gi,), H = batch.linearize(X, True)
-                i = batch.rows[0]
-                D[i] += H[0, 0]
-                g[i] += gi
-
-        add_priors(self.after_stage[0])
-        edges = [(pos, batch, batch.linearize(X, True))
-                 for pos, batch in self.edges]
-        for s, (pos, batch, (cost, (_, gj), H)) in enumerate(edges):
+        lin = [batch.linearize(X, True) for _, batch in self.batches]
+        for (pos, _), (cost, _, _) in zip(self.batches, lin):
             costs[pos] = cost
-            D[batch.rows[1]] += H[1, 1]
-            g[batch.rows[1]] += gj
-            add_priors(self.after_stage[s + 1])
-        for s, (_, batch, (_, (gi, _), H)) in enumerate(edges):
-            i = batch.rows[0]
-            D[i] += H[0, 0]
-            U[i] += H[0, 1]
-            g[i] += gi
-            add_priors(self.after_stage[len(edges) + s + 1])
+        for b, a, take, rows in self.diagonal:
+            _, grads, H = lin[b]
+            D[rows] += H[a, a][take]
+            g[rows] += grads[a][take]
+        for b, _, take, rows in self.upper:
+            U[rows] += lin[b][2][0, 1][take]
         return D, U, g.ravel(), _sum_in_order(costs)
 
     def cost(self, X: StateStack) -> float:
         costs = np.empty(self.size)
-        for pos, batch in self.edges + [p for ps in self.after_stage for p in ps]:
+        for pos, batch in self.batches:
             costs[pos] = batch.linearize(X, False)[0]
         return _sum_in_order(costs)
 
@@ -217,7 +193,7 @@ class FixedLagSmoother:
 
     def add_keyframe(self, t: float,
                      delta: PreintegratedDelta | None,
-                     lidar: RelativePoseMeasurement | Gap | None) -> None:
+                     lidar: RelativePoseMeasurement | None) -> None:
         if self.states and t <= self.states[-1].timestamp:
             raise ValueError("keyframe times must be strictly increasing")
         pr = self.priors
@@ -266,7 +242,7 @@ class FixedLagSmoother:
                 i, j, (THETA_E, T_E),
                 np.diag([pr.extr_walk_rot_std**2] * 3
                         + [pr.extr_walk_trans_std**2] * 3)))
-            if isinstance(lidar, RelativePoseMeasurement) and lidar.converged:
+            if lidar is not None and lidar.converged:
                 self.factors.append(LidarRelativeFactor(i, j, lidar))
 
     # ---------------------------------------------------------------- optimize
@@ -375,6 +351,3 @@ class FixedLagSmoother:
     @property
     def latest(self) -> StateNode:
         return self.states[-1]
-
-    def extrinsics_estimate(self) -> Pose:
-        return self.states[-1].extrinsics_BL()

@@ -70,6 +70,26 @@ def test_malformed_sensor_yaml_exits_2_without_traceback(dataset, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keep", [
+    lambda rows, t_first: [],
+    lambda rows, t_first: [r for r in rows
+                           if float(r.split(",")[0]) >= t_first + 1.0],
+], ids=["header-only", "starting-1-s-after-the-first-scan"])
+def test_imu_missing_over_a_keyframe_window_exits_2(dataset, tmp_path, capsys,
+                                                    keep):
+    """A keyframe window that no IMU sample covers is bad data, not a
+    numerical failure."""
+    d = tmp_path / "ds"
+    shutil.copytree(dataset, d)
+    t_first = min(int(f.split(".")[0]) for f in os.listdir(d / "scans")) * 1e-9
+    header, *rows = (d / "imu.csv").read_text().splitlines(keepends=True)
+    (d / "imu.csv").write_text("".join([header, *keep(rows, t_first)]))
+    assert main(["run", str(d), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: no IMU sample covers [")
+    assert "Traceback" not in err
+
+
 def _raise_linalg(*args, **kwargs):
     raise np.linalg.LinAlgError("Matrix is singular")
 

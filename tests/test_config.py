@@ -39,6 +39,10 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("seed: 0\n")
     with pytest.raises(ConfigError, match="seed"):
         load_config(str(path))
+    path.write_text("window:\n  foo: 1\n")
+    with pytest.raises(ConfigError) as e:
+        load_config(str(path))
+    assert str(e.value) == "unknown keys at window: ['foo']"
     path.write_text("supervisor:\n  wheel_vel_noise_std: 0.02\n")
     with pytest.raises(ConfigError, match="wheel_vel_noise_std"):
         load_config(str(path))
@@ -84,6 +88,11 @@ def test_invalid_value_rejected(tmp_path):
     path.write_text("observability:\n  threshold: 1.0\n")
     with pytest.raises(ConfigError, match="observability"):
         load_config(str(path))
+    path.write_text("extrinsics:\n  translation: [1.0, 2.0]\n")
+    with pytest.raises(ConfigError) as e:
+        load_config(str(path))
+    assert str(e.value) == ("invalid config section extrinsics: translation "
+                            "must be three finite numbers, got [1.0, 2.0]")
 
 
 @pytest.mark.parametrize("key", [

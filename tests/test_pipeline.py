@@ -17,7 +17,7 @@ from liodom.geometry import rot_z, so3_exp
 from liodom.pipeline import (DatasetError, _apply_sensor_spec, _imu_slice,
                              attitude_from_gravity, load_dataset, run_pipeline)
 from liodom.preintegration import ImuNoiseParams, ImuSample
-from liodom.scan_matching import Gap, RelativePoseMeasurement
+from liodom.scan_matching import RelativePoseMeasurement
 from liodom.smoother import FixedLagSmoother
 
 GRAVITY_W = ImuNoiseParams().gravity_W
@@ -88,9 +88,9 @@ def test_run_pipeline_leaves_caller_config_unchanged(dataset, tmp_path):
 
 
 def test_tiny_scan_gives_gap_keyframes(dataset, tmp_path, monkeypatch):
-    """A scan with fewer than 20 points gives Gap keyframes into and out of
-    it, matching resumes on the next pair, and every trajectory still holds
-    one pose per scan."""
+    """A scan with fewer than 20 points gives keyframes without a lidar
+    measurement into and out of it, matching resumes on the next pair, and
+    every trajectory still holds one pose per scan."""
     d = tmp_path / "ds"
     shutil.copytree(dataset, d)
     names = sorted(os.listdir(d / "scans"), key=lambda s: int(s.split(".")[0]))
@@ -107,7 +107,7 @@ def test_tiny_scan_gives_gap_keyframes(dataset, tmp_path, monkeypatch):
     out = tmp_path / "out"
     run_pipeline(str(d), PipelineConfig(), str(out))
     assert len(seen) == len(names)
-    assert [k for k, m in enumerate(seen) if isinstance(m, Gap)] == [10, 11]
+    assert [k for k, m in enumerate(seen) if m is None] == [0, 10, 11]
     resumed = seen[12]
     assert isinstance(resumed, RelativePoseMeasurement) and resumed.converged
     assert resumed.timestamp_from == pytest.approx(

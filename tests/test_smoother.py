@@ -7,7 +7,7 @@ from liodom.factors import (BA, BG, STATE_DIM, T_E, THETA_E, ImuFactor,
                             LidarRelativeFactor, LinearizedPriorFactor,
                             PriorFactor, StateStack, WalkFactor)
 from liodom.preintegration import ImuBias, ImuNoiseParams, integrate_window
-from liodom.scan_matching import Gap, RelativePoseMeasurement
+from liodom.scan_matching import RelativePoseMeasurement
 from liodom.simworld import TrajectorySpec, simulate_imu
 from liodom.smoother import FixedLagSmoother, WindowConfig, _band, _gn_step
 
@@ -192,7 +192,7 @@ def test_gap_keyframe_keeps_running_on_imu():
             i1 = int(np.searchsorted(times, t, "left"))
             delta = integrate_window(samples[i0:i1], gt[k - 1][0], t,
                                      sm.latest.bias, TINY)
-            meas = Gap(gt[k - 1][0], t, "test") if k == 4 else lidar[k - 1]
+            meas = None if k == 4 else lidar[k - 1]
             sm.add_keyframe(t, delta, meas)
         sm.optimize()
     # IMU bridges the gap on a noiseless sequence
@@ -271,13 +271,15 @@ def test_gn_step_matches_dense_solve(lam):
     assert np.linalg.norm(delta - expect) <= 1e-9 * np.linalg.norm(expect)
 
 
-def test_assemble_rejects_factor_off_the_band():
+@pytest.mark.parametrize("indices", [(0, 2), (1, 0)],
+                         ids=["non-adjacent", "reversed"])
+def test_assemble_rejects_factor_off_the_band(indices):
     samples, gt, lidar = make_sequence(duration=2.0)
     sm = FixedLagSmoother(WindowConfig(lag=1e9), TINY,
                           Pose(np.eye(3), np.zeros(3), "B", "L"))
     feed(sm, samples, gt[:3], lidar, marginalize=False, optimize=False)
-    sm.factors.append(WalkFactor(0, 2, (BA, BG), np.eye(6)))
-    with pytest.raises(ValueError, match="non-adjacent"):
+    sm.factors.append(WalkFactor(*indices, (BA, BG), np.eye(6)))
+    with pytest.raises(ValueError, match="off the band"):
         sm._assemble(sm.factors, StateStack.of(sm.states))
 
 
@@ -398,7 +400,7 @@ def test_batched_assembly_with_marginal_prior_is_bitwise_the_loop():
 def test_batched_assembly_with_missing_lidar_edges_is_bitwise_the_loop():
     def lidar_at(k, m):
         if k == 3:
-            return Gap(m.timestamp_from, m.timestamp_to, "test")
+            return None
         if k == 5:
             return RelativePoseMeasurement(m.transform, m.covariance,
                                            m.timestamp_from, m.timestamp_to,
@@ -418,8 +420,17 @@ def test_batched_marginalization_prefix_is_bitwise_the_loop():
         assert_batched_matches_loop(sm, prefix, n_drop + 1)
 
 
-def test_assemble_rejects_factors_out_of_chain_order():
-    sm = noisy_window(lag=1e9)[0]
-    sm.factors[6], sm.factors[10] = sm.factors[10], sm.factors[6]
-    with pytest.raises(ValueError, match="chain order"):
-        sm._assemble(sm.factors, StateStack.of(sm.states))
+@pytest.mark.parametrize("lag, prior_kind", [(1e9, PriorFactor),
+                                              (1.0, LinearizedPriorFactor)])
+def test_batched_assembly_in_any_factor_order_is_bitwise_the_loop(lag,
+                                                                  prior_kind):
+    """Every sum adds its terms in list order, whatever order the factors
+    come in."""
+    sm = noisy_window(lag=lag)[0]
+    assert any(isinstance(f, prior_kind) for f in sm.factors)
+    sm.factors[0], sm.factors[-1] = sm.factors[-1], sm.factors[0]
+    assert_batched_matches_loop(sm, sm.factors, len(sm.states))
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        rng.shuffle(sm.factors)
+        assert_batched_matches_loop(sm, sm.factors, len(sm.states))
