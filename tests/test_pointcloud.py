@@ -126,18 +126,39 @@ def test_voxel_reduces_density():
     np.fill_diagonal(d, np.inf)
 
 
-def test_csv_without_normals(tmp_path):
-    """A cloud round-trips as its points: normals are neither written nor
-    read, the timestamp comes from the file name."""
+def test_csv_roundtrip(tmp_path):
+    """A cloud round-trips as its points under an `x,y,z` header; the
+    timestamp comes from the file name."""
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(17, 3))
-    normals = rng.normal(size=(17, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     path = str(tmp_path / "1500000000.csv")
-    save_csv(PointCloud(1.5, pts, normals), path)
+    save_csv(PointCloud(1.5, pts), path)
     with open(path) as f:
         assert f.readline() == "x,y,z\n"
     back = load_csv(path)
     assert back.timestamp == pytest.approx(1.5)
+    assert np.allclose(back.points, pts, atol=1e-8)
+
+
+def test_csv_without_normals(tmp_path):
+    """Normals are neither written nor read: a cloud with normals is saved
+    as its points, and extra columns in a file are ignored."""
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(17, 3))
+    normals = rng.normal(size=(17, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    path = str(tmp_path / "2000000000.csv")
+    save_csv(PointCloud(2.0, pts, normals), path)
+    with open(path) as f:
+        assert f.readline() == "x,y,z\n"
+        assert len(f.readline().split(",")) == 3
+    back = load_csv(path)
+    assert not back.has_normals
+    assert np.allclose(back.points, pts, atol=1e-8)
+    wide = str(tmp_path / "2500000000.csv")
+    np.savetxt(wide, np.hstack([pts, normals]), fmt="%.9f", delimiter=",",
+               header="x,y,z,nx,ny,nz", comments="")
+    back = load_csv(wide)
+    assert back.timestamp == pytest.approx(2.5)
     assert not back.has_normals
     assert np.allclose(back.points, pts, atol=1e-8)
