@@ -170,9 +170,13 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
 
 
 def save_csv(cloud: PointCloud, path: str) -> None:
-    """Write the points as `x,y,z` rows with header."""
-    np.savetxt(path, cloud.points, fmt="%.9f", delimiter=",", header="x,y,z",
-               comments="")
+    """Write the points as `x,y,z` rows with header: the text of
+    `np.savetxt(path, points, fmt="%.9f", delimiter=",", header="x,y,z",
+    comments="")`, formatted in one call instead of one per row."""
+    text = "x,y,z\n" + ("%.9f,%.9f,%.9f\n" * len(cloud)) \
+        % tuple(cloud.points.ravel().tolist())
+    with open(path, "w", newline="") as f:
+        f.write(text)
 
 
 def load_csv(path: str, timestamp: float | None = None) -> PointCloud:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -37,6 +38,10 @@ class Patch:
         self.len2 = np.linalg.norm(self.e2)
         self.u1 = self.e1 / self.len1
         self.u2 = self.e2 / self.len2
+        # a ball holding the patch, with room for the inside test's 1e-9
+        # slack: a ray that misses the ball misses the patch
+        self.center = self.corner + 0.5 * (self.e1 + self.e2)
+        self.radius = 0.5 * np.linalg.norm(self.e1 + self.e2) + 1e-6
 
 
 @dataclass
@@ -77,39 +82,49 @@ def raycast_batch(world: WorldModel, origin: np.ndarray, dirs: np.ndarray,
                   max_range: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized nearest-hit over all patches.
 
-    Returns (points (N,3), patch normals (N,3), hit mask (N,)); non-hit rows
-    are zero-filled.
+    Returns (points (N,3), hit patch index into `world.patches` (N,), hit
+    mask (N,)); non-hit rows have a zero point and index -1. A ray hitting
+    two patches at the same distance takes the earlier one.
     """
     n_rays = len(dirs)
     best_t = np.full(n_rays, np.inf)
     best_patch = np.full(n_rays, -1)
+    sq_len = np.einsum("ij,ij->i", dirs, dirs)
     for k, p in enumerate(world.patches):
         denom = dirs @ p.normal
-        safe = np.abs(denom) > 1e-12
-        t = np.where(safe, ((p.corner - origin) @ p.normal)
-                     / np.where(safe, denom, 1.0), np.inf)
-        valid = safe & (t > 1e-9) & (t <= max_range)
-        if not valid.any():
+        num = (p.corner - origin) @ p.normal
+        # the plane hit t = num / denom is ahead (t > 1e-9) only where denom
+        # has num's sign, and can be on the patch only if the ray meets the
+        # patch's ball (unless the ball holds the origin)
+        can = denom > 1e-12 if num > 0 else denom < -1e-12
+        w = p.center - origin
+        reach = w @ w - p.radius ** 2
+        if reach > 0:
+            proj = dirs @ w
+            can &= (proj > 0) & (proj * proj >= reach * sq_len)
+        # of those rays, only one whose hit is in range and strictly nearer
+        # than its best so far can take this patch: the earlier patch keeps
+        # a tie. Only these rays get the inside test.
+        cand = np.flatnonzero(can)
+        t = num / denom[cand]
+        near = (t > 1e-9) & (t <= max_range) & (t < best_t[cand])
+        cand, t = cand[near], t[near]
+        if not len(cand):
             continue
-        pts = origin + np.where(np.isfinite(t), t, 0.0)[:, None] * dirs
-        rel = pts - p.corner
+        rel = origin + t[:, None] * dirs[cand] - p.corner
         u = rel @ p.u1
         v = rel @ p.u2
-        valid &= (u >= -1e-9) & (u <= p.len1 + 1e-9) \
+        inside = (u >= -1e-9) & (u <= p.len1 + 1e-9) \
             & (v >= -1e-9) & (v <= p.len2 + 1e-9)
-        better = valid & (t < best_t)
-        best_t[better] = t[better]
-        best_patch[better] = k
+        best_t[cand[inside]] = t[inside]
+        best_patch[cand[inside]] = k
     mask = best_patch >= 0
     points = np.zeros((n_rays, 3))
-    normals = np.zeros((n_rays, 3))
     points[mask] = origin + best_t[mask, None] * dirs[mask]
-    for k in np.unique(best_patch[mask]):
-        normals[best_patch == k] = world.patches[k].normal
-    return points, normals, mask
+    return points, best_patch, mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class LidarModel:
     n_azimuth: int = 120
     n_elevation: int = 16
@@ -118,36 +133,33 @@ class LidarModel:
     range_noise_std: float = 0.01
     rate: float = 10.0
 
+    @cached_property
     def directions(self) -> np.ndarray:
+        """Unit ray directions in the lidar frame, azimuth-major (N, 3);
+        computed once per model, which is frozen so they cannot go stale."""
         az = np.linspace(0, 2 * np.pi, self.n_azimuth, endpoint=False)
         el = np.linspace(-self.elevation_fov / 2, self.elevation_fov / 2,
                          self.n_elevation)
         azg, elg = np.meshgrid(az, el, indexing="ij")
         d = np.stack([np.cos(elg) * np.cos(azg),
                       np.cos(elg) * np.sin(azg),
-                      np.sin(elg)], axis=-1)
-        return d.reshape(-1, 3)
+                      np.sin(elg)], axis=-1).reshape(-1, 3)
+        d.flags.writeable = False
+        return d
 
 
 def simulate_scan(world: WorldModel, pose: Pose, model: LidarModel,
                   rng: np.random.Generator | None = None,
-                  timestamp: float = 0.0,
-                  with_normals: bool = False) -> PointCloud:
+                  timestamp: float = 0.0) -> PointCloud:
     """One instantaneous scan expressed in the lidar frame."""
-    dirs_l = model.directions()
+    dirs_l = model.directions
     dirs_w = dirs_l @ pose.rotation.T
-    pts_w, normals_w, mask = raycast_batch(world, pose.translation, dirs_w,
-                                           model.max_range)
+    pts_w, _, mask = raycast_batch(world, pose.translation, dirs_w,
+                                   model.max_range)
     ranges = np.linalg.norm(pts_w[mask] - pose.translation, axis=1)
     if rng is not None and model.range_noise_std > 0:
         ranges = ranges + rng.normal(0.0, model.range_noise_std, len(ranges))
-    pts_l = dirs_l[mask] * ranges[:, None]
-    if with_normals:
-        n_l = normals_w[mask] @ pose.rotation
-        flip = np.einsum("ni,ni->n", n_l, -pts_l) < 0
-        n_l[flip] *= -1.0
-        return PointCloud(timestamp, pts_l, n_l)
-    return PointCloud(timestamp, pts_l)
+    return PointCloud(timestamp, dirs_l[mask] * ranges[:, None])
 
 
 @dataclass
@@ -190,27 +202,31 @@ def simulate_imu(traj: TrajectorySpec, noise: ImuNoiseParams, bias: ImuBias,
     reproduces the trajectory exactly rather than to first order.
     """
     dt = 1.0 / rate
-    times = np.arange(traj.times[0], traj.times[-1], dt)
-    g = noise.gravity_W
-    accels, turns, spans = [], [], []
-    for t in times:
-        t0, t1 = float(t), min(float(t) + dt, traj.times[-1])
-        span = max(t1 - t0, 1e-12)
-        R = traj.pose(t0).rotation
-        dv_w = traj.velocity(t1) - traj.velocity(t0)
-        accels.append(R.T @ (dv_w / span - g) + bias.accel_bias)
-        turns.append(R.T @ traj.pose(t1).rotation)
-        spans.append(span)
+    t0 = np.arange(traj.times[0], traj.times[-1], dt)
+    t1 = np.minimum(t0 + dt, traj.times[-1])
+    span = np.maximum(t1 - t0, 1e-12)[:, None]
+    R0T = _yaw_rotations(traj._yaw(t0)).transpose(0, 2, 1)
+    dv_w = traj.velocity(t1) - traj.velocity(t0)
+    accels = np.matvec(R0T, dv_w / span - noise.gravity_W) + bias.accel_bias
     # one stacked log for all samples; each row is the log of its turn alone
-    gyros = (so3_log(np.array(turns).reshape(-1, 3, 3)) / np.array(spans)[:, None]
+    gyros = (so3_log(R0T @ _yaw_rotations(traj._yaw(t1))) / span
              + bias.gyro_bias)
-    samples = []
-    for t, accel, gyro in zip(times, accels, gyros):
-        if rng is not None:
-            accel = accel + rng.normal(0, noise.accel_noise_density * np.sqrt(rate), 3)
-            gyro = gyro + rng.normal(0, noise.gyro_noise_density * np.sqrt(rate), 3)
-        samples.append(ImuSample(float(t), accel, gyro))
-    return samples
+    rates = np.hstack([accels, gyros])
+    if rng is not None:
+        # one draw in the order of per-sample accel then gyro triples
+        scale = np.repeat([noise.accel_noise_density,
+                           noise.gyro_noise_density], 3) * np.sqrt(rate)
+        rates = rates + rng.normal(0.0, scale, rates.shape)
+    return [ImuSample(t, r[:3], r[3:]) for t, r in zip(t0.tolist(), rates)]
+
+
+def _yaw_rotations(yaw: np.ndarray) -> np.ndarray:
+    """`rot_z` of each yaw angle, bit for bit, as one (N, 3, 3) stack."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    R = np.zeros((len(yaw), 3, 3))
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1] = c, -s, s, c
+    R[:, 2, 2] = 1.0
+    return R
 
 
 # the wheel noise keeps one seed for every dataset seed, as the recorded

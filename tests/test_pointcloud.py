@@ -140,6 +140,21 @@ def test_csv_roundtrip(tmp_path):
     assert np.allclose(back.points, pts, atol=1e-8)
 
 
+@pytest.mark.parametrize("pts", [
+    np.zeros((0, 3)),
+    [[-0.0, 0.0, -0.0]],
+    [[1e12, -1e12, 1e-12], [-1e-12, 0.5, -0.5]],
+    [[1.0000000005, -1.0000000005, 5e-10], [-5e-10, 0.1234567885, 2.5e-9]],
+], ids=["empty", "negative-zero", "huge-and-tiny", "ninth-decimal-edge"])
+def test_save_csv_writes_the_text_of_savetxt(tmp_path, pts):
+    cloud = PointCloud(0.0, np.array(pts, float).reshape(-1, 3))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    save_csv(cloud, str(ours))
+    np.savetxt(str(ref), cloud.points, fmt="%.9f", delimiter=",",
+               header="x,y,z", comments="")
+    assert ours.read_bytes() == ref.read_bytes()
+
+
 def test_csv_without_normals(tmp_path):
     """Normals are neither written nor read: a cloud with normals is saved
     as its points, and extra columns in a file are ignored."""

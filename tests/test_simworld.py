@@ -77,28 +77,71 @@ def test_raycast_batch_matches_single():
     dirs = rng.normal(size=(50, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     origin = np.array([5.0, 0.0, 1.0])
-    pts, normals, mask = raycast_batch(world, origin, dirs, 8.0)
+    pts, patch, mask = raycast_batch(world, origin, dirs, 8.0)
+    assert np.array_equal(mask, patch >= 0)
+    assert mask.any()
     for i in range(len(dirs)):
         single = raycast_one(world, origin, dirs[i], 8.0)
         if mask[i]:
             assert np.allclose(pts[i], single, atol=1e-9)
-            assert np.linalg.norm(normals[i]) == pytest.approx(1.0)
+            hit = world.patches[patch[i]]
+            assert np.linalg.norm(hit.normal) == pytest.approx(1.0)
+            # the hit lies on its patch's plane, whose normal faces the
+            # sensor: the corridor walls face in, the clutter boxes out
+            assert abs((pts[i] - hit.corner) @ hit.normal) < 1e-9
+            assert hit.normal @ (origin - pts[i]) > 0
         else:
             assert single is None
+            assert np.array_equal(pts[i], np.zeros(3))
+
+
+def test_raycast_rules_the_candidate_filter_keeps():
+    """Rays are skipped only where they cannot change the result."""
+    wall = [[2.0, -1.0, -1.0], [0, 2.0, 0], [0, 0, 2.0]]
+    x = np.array([1.0, 0, 0])
+    # coincident patches: the first in world order takes the tie
+    twin = WorldModel([Patch(*wall), Patch(*wall)])
+    _, patch, mask = raycast_batch(twin, np.zeros(3), x[None, :], 10.0)
+    assert mask[0] and patch[0] == 0
+    # a hit exactly at max_range is kept
+    one = WorldModel([Patch(*wall)])
+    pts, patch, mask = raycast_batch(one, np.zeros(3), x[None, :], 2.0)
+    assert mask[0] and patch[0] == 0 and pts[0][0] == 2.0
+    # a ray just outside a corner, within the inside test's 1e-9 slack, is
+    # a hit, also from afar, where the patch's ball spans few directions
+    for origin in ([0.0, 0, 0], [-40.0, 3.0, -5.0]):
+        for corner in ([2.0, -1.0, -1.0], [2.0, 1.0, 1.0]):
+            aim = np.array(corner) + 5e-10 * np.sign(corner) * [0, 1, 1]
+            d = aim - origin
+            pts, patch, mask = raycast_batch(one, np.array(origin), d[None, :],
+                                             100.0)
+            assert mask[0] and patch[0] == 0
+            assert np.allclose(pts[0], aim, atol=1e-9)
+    # a ray parallel to the patch misses, even lying in its plane
+    along = np.array([[0, 1.0, 0], [0, 0, 1.0]])
+    for origin in ([0.0, 0, 0], [2.0, -2.0, -2.0]):
+        pts, patch, mask = raycast_batch(one, np.array(origin), along, 10.0)
+        assert not mask.any() and np.all(patch == -1) and not pts.any()
 
 
 def test_scan_points_lie_on_world_surfaces():
     world = WorldModel(room([0, 0, 1.25], [6.0, 4.0, 2.5]))
     pose = Pose(rot_z(0.4), np.array([0.5, -0.3, 1.0]), "W", "L")
     model = LidarModel(range_noise_std=0.0)
-    cloud = simulate_scan(world, pose, model, with_normals=True)
+    cloud = simulate_scan(world, pose, model)
     pts_w = cloud.points @ pose.rotation.T + pose.translation
     # every point satisfies one of the six plane equations
     dists = np.abs(np.stack([
         (pts_w - p.corner) @ p.normal for p in world.patches]))
     assert np.all(dists.min(axis=0) < 1e-9)
-    # normals point back toward the sensor (origin of the lidar frame)
-    assert np.all(np.einsum("ni,ni->n", cloud.normals, -cloud.points) >= 0)
+    # seen from inside the room, the normal of each hit patch faces the sensor
+    hits, patch, mask = raycast_batch(world, pose.translation,
+                                      model.directions @ pose.rotation.T,
+                                      model.max_range)
+    assert np.allclose(hits[mask], pts_w, atol=1e-9)
+    normals = np.array([world.patches[i].normal for i in patch[mask]])
+    assert np.all(np.einsum("ni,ni->n", normals,
+                            pose.translation - hits[mask]) > 0)
 
 
 def test_scan_noise_and_determinism():
@@ -160,6 +203,28 @@ def test_imu_dead_reckoning_reproduces_trajectory():
     end = traj.pose(traj.times[-1])
     assert np.linalg.norm(p - end.translation) < 1e-5
     assert np.allclose(R, end.rotation, atol=1e-6)
+
+
+def test_imu_noise_follows_the_stream_in_sample_order():
+    """Sample k's noise is the seed's standard-normal draws 6k..6k+5 scaled:
+    three for the accelerometer, then three for the gyro."""
+    tm = np.arange(0.0, 3.1, 1.0)
+    traj = TrajectorySpec(tm, np.stack([0.5 * tm, np.sin(tm), 1.0 + 0 * tm],
+                                       axis=1), 0.4 * np.sin(tm))
+    bias = ImuBias(accel_bias=[0.05, -0.02, 0.01], gyro_bias=[0.002, 0, -0.001])
+    rate = 100.0
+    clean = simulate_imu(traj, NOISE, bias, rate)
+    noisy = simulate_imu(traj, NOISE, bias, rate, np.random.default_rng(4))
+    z = np.random.default_rng(4).standard_normal(6 * len(clean))
+    sa = NOISE.accel_noise_density * np.sqrt(rate)
+    sg = NOISE.gyro_noise_density * np.sqrt(rate)
+    assert len(noisy) == len(clean) == 300
+    for k, (a, b) in enumerate(zip(noisy, clean)):
+        assert a.timestamp == b.timestamp
+        np.testing.assert_allclose(a.accel - b.accel, sa * z[6 * k:6 * k + 3],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.gyro - b.gyro, sg * z[6 * k + 3:6 * k + 6],
+                                   rtol=0, atol=1e-12)
 
 
 def test_wheel_inertial_analog_statistics():

@@ -50,3 +50,26 @@ def test_arrival_replay_summary_of_stamps():
         tool.summarize(dict(stamps, load=stamped[1:] + [(99.0, 9.9)]), rate=0.0)
     with pytest.raises(RuntimeError):
         tool.summarize(dict(stamps, due=stamped + stamped[:1]), rate=0.0)
+
+
+def test_compare_runs_digests_every_dataset_file(tmp_path):
+    """A dataset keeps its scans in a sub-folder: every file under it is
+    hashed by its relative path, and one changed scan marks the run."""
+    tool = _load_tool("compare_runs")
+    sides = []
+    for side in ("a", "b"):
+        (tmp_path / side / "scans").mkdir(parents=True)
+        (tmp_path / side / "imu.csv").write_text("timestamp\n")
+        for k in range(3):
+            (tmp_path / side / "scans" / f"{k}.csv").write_text(f"x,y,z\n{k}\n")
+        sides.append(tool.digests(str(tmp_path / side)))
+    assert sorted(sides[0]) == ["imu.csv", os.path.join("scans", "0.csv"),
+                                os.path.join("scans", "1.csv"),
+                                os.path.join("scans", "2.csv")]
+    assert tool.verdict("dataset", *sides) == "dataset 4 files identical"
+    (tmp_path / "b" / "scans" / "1.csv").write_text("x,y,z\n-0\n")
+    changed = tool.digests(str(tmp_path / "b"))
+    assert tool.differing(sides[0], changed) == [os.path.join("scans", "1.csv")]
+    assert tool.verdict("dataset", sides[0], changed).startswith(
+        "dataset 1 of 4 files DIFFERENT: scans")
+    assert tool.seed_list("0-2,5") == [0, 1, 2, 5]

@@ -1,15 +1,17 @@
-"""Check that a revision and the working tree write byte-identical outputs.
+"""Check that a revision and the working tree write byte-identical files.
 
     python3 tools/compare_runs.py REV --seeds 0-9
 
 Run from the repository root. For each workload (default: corridor and
-room-dense, from perfbench/workloads.py) and seed, the dataset is generated
-once with the working tree's simulator, then `run_pipeline` replays it with
-the default config twice: once with the working tree's `src/` and once with
-REV's, checked out in a temporary `git worktree`. Each replay runs in its
-own process with BLAS pinned to one thread, as perfbench runs it. The
-SHA-256 of every output file is compared. Exit code 0 when every file of
-every run is identical, 1 otherwise.
+room-dense, from perfbench/workloads.py) and seed, each side generates the
+dataset with its own simulator (`setup` from its own perfbench/workloads.py)
+and replays it through `run_pipeline` with the default config: once the
+working tree, once REV, extracted with `git archive` into a temporary
+directory. Each step runs in its own process with that side's `src/` and
+`perfbench/` on the path and BLAS pinned to one thread, as perfbench runs
+it. The SHA-256 of every dataset file and of every output file is compared;
+a run differs when either does. Exit code 0 when every run is identical, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+GENERATE = """
+import os, sys
+sys.dont_write_bytecode = True
+sys.path[:0] = [os.path.join(sys.argv[1], d) for d in ("src", "perfbench")]
+from workloads import WORKLOADS, setup
+setup(WORKLOADS[sys.argv[2]], int(sys.argv[3]), sys.argv[4])
+"""
 REPLAY = """
-import sys
-sys.path.insert(0, sys.argv[1])
+import os, sys
+sys.path.insert(0, os.path.join(sys.argv[1], "src"))
 from liodom.config import PipelineConfig
 from liodom.pipeline import run_pipeline
 run_pipeline(sys.argv[2], PipelineConfig(), sys.argv[3])
@@ -42,17 +51,39 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def replay(src: str, dataset: str, out: str) -> None:
-    subprocess.run([sys.executable, "-c", REPLAY, src, dataset, out],
+def generate(tree: str, workload: str, seed: int, dataset: str) -> None:
+    subprocess.run([sys.executable, "-c", GENERATE, tree, workload, str(seed),
+                    dataset], check=True)
+
+
+def replay(tree: str, dataset: str, out: str) -> None:
+    subprocess.run([sys.executable, "-c", REPLAY, tree, dataset, out],
                    check=True)
 
 
-def digests(out_dir: str) -> dict[str, str]:
+def digests(top: str) -> dict[str, str]:
+    """SHA-256 of every file under `top`, keyed by its path relative to it."""
     result = {}
-    for name in sorted(os.listdir(out_dir)):
-        with open(os.path.join(out_dir, name), "rb") as f:
-            result[name] = hashlib.sha256(f.read()).hexdigest()
+    for folder, _, names in os.walk(top):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as f:
+                result[os.path.relpath(path, top)] = \
+                    hashlib.sha256(f.read()).hexdigest()
     return result
+
+
+def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    return sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+
+
+def verdict(kind: str, a: dict[str, str], b: dict[str, str]) -> str:
+    """'dataset 86 files identical', or the count and first names differing."""
+    bad = differing(a, b)
+    if not bad:
+        return f"{kind} {len(a)} files identical"
+    return (f"{kind} {len(bad)} of {len(a.keys() | b.keys())} files "
+            f"DIFFERENT: {', '.join(bad[:5])}{' ...' if len(bad) > 5 else ''}")
 
 
 def main(argv=None) -> int:
@@ -61,7 +92,7 @@ def main(argv=None) -> int:
     # perfbench is read, never written: no bytecode cache lands there
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    from workloads import WORKLOADS, setup
+    from workloads import WORKLOADS
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against")
@@ -77,34 +108,26 @@ def main(argv=None) -> int:
     differ = 0
     with tempfile.TemporaryDirectory(prefix="compare_runs-") as tmp:
         tree = os.path.join(tmp, "rev")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        "--quiet", tree, args.rev], check=True)
-        try:
-            sides = {"working tree": os.path.join(ROOT, "src"),
-                     args.rev: os.path.join(tree, "src")}
-            for name in names:
-                for seed in args.seeds:
-                    dataset = os.path.join(tmp, f"{name}-{seed}")
-                    setup(WORKLOADS[name], seed, dataset)
-                    sums = {}
-                    for side, src in sides.items():
-                        out = os.path.join(tmp, f"out-{len(sums)}")
-                        replay(src, dataset, out)
-                        sums[side] = digests(out)
-                    a, b = sums.values()
-                    bad = sorted(f for f in a.keys() | b.keys()
-                                 if a.get(f) != b.get(f))
-                    differ += bool(bad)
-                    verdict = ("identical" if not bad
-                               else "DIFFERENT: " + ", ".join(bad))
-                    print(f"{name:12s} seed {seed}: {len(a)} files {verdict}",
-                          flush=True)
-                    for path in (dataset, *(os.path.join(tmp, f"out-{k}")
-                                            for k in range(2))):
-                        shutil.rmtree(path)
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                            tree], check=False)
+        os.mkdir(tree)
+        subprocess.run(["git", "-C", ROOT, "archive", "-o", tree + ".tar",
+                        args.rev], check=True)
+        subprocess.run(["tar", "-xf", tree + ".tar", "-C", tree], check=True)
+        for name in names:
+            for seed in args.seeds:
+                data, outs = [], []
+                for k, root in enumerate((ROOT, tree)):
+                    dataset = os.path.join(tmp, f"data-{k}")
+                    out = os.path.join(tmp, f"out-{k}")
+                    generate(root, name, seed, dataset)
+                    replay(root, dataset, out)
+                    data.append(digests(dataset))
+                    outs.append(digests(out))
+                    shutil.rmtree(dataset)
+                    shutil.rmtree(out)
+                same = not differing(*data) and not differing(*outs)
+                differ += not same
+                print(f"{name:12s} seed {seed}: {verdict('dataset', *data)}; "
+                      f"{verdict('outputs', *outs)}", flush=True)
     print(f"# {differ} of {len(names) * len(args.seeds)} runs differ from {args.rev}")
     return 1 if differ else 0
 
