@@ -108,9 +108,14 @@ def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return _I3 + 0.5 * K + t2
 
 
-def rot_z(a: float) -> np.ndarray:
+def rot_z(a: float | np.ndarray) -> np.ndarray:
+    """Rotation about z by `a`; an array of angles gives a stack of shape
+    `a.shape + (3, 3)`."""
     c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+    R = np.zeros(np.shape(a) + (3, 3))
+    R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1] = c, -s, s, c
+    R[..., 2, 2] = 1.0
+    return R
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:

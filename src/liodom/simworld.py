@@ -79,12 +79,12 @@ def room(center, size) -> list[Patch]:
 
 
 def raycast_batch(world: WorldModel, origin: np.ndarray, dirs: np.ndarray,
-                  max_range: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  max_range: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest-hit over all patches.
 
-    Returns (points (N,3), hit patch index into `world.patches` (N,), hit
-    mask (N,)); non-hit rows have a zero point and index -1. A ray hitting
-    two patches at the same distance takes the earlier one.
+    Returns (points (N,3), hit patch index into `world.patches` (N,)); a
+    miss has a zero point and index -1. A ray hitting two patches at the
+    same distance takes the earlier one.
     """
     n_rays = len(dirs)
     best_t = np.full(n_rays, np.inf)
@@ -121,7 +121,7 @@ def raycast_batch(world: WorldModel, origin: np.ndarray, dirs: np.ndarray,
     mask = best_patch >= 0
     points = np.zeros((n_rays, 3))
     points[mask] = origin + best_t[mask, None] * dirs[mask]
-    return points, best_patch, mask
+    return points, best_patch
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,9 @@ def simulate_scan(world: WorldModel, pose: Pose, model: LidarModel,
     """One instantaneous scan expressed in the lidar frame."""
     dirs_l = model.directions
     dirs_w = dirs_l @ pose.rotation.T
-    pts_w, _, mask = raycast_batch(world, pose.translation, dirs_w,
-                                   model.max_range)
+    pts_w, patch = raycast_batch(world, pose.translation, dirs_w,
+                                 model.max_range)
+    mask = patch >= 0
     ranges = np.linalg.norm(pts_w[mask] - pose.translation, axis=1)
     if rng is not None and model.range_noise_std > 0:
         ranges = ranges + rng.normal(0.0, model.range_noise_std, len(ranges))
@@ -205,11 +206,11 @@ def simulate_imu(traj: TrajectorySpec, noise: ImuNoiseParams, bias: ImuBias,
     t0 = np.arange(traj.times[0], traj.times[-1], dt)
     t1 = np.minimum(t0 + dt, traj.times[-1])
     span = np.maximum(t1 - t0, 1e-12)[:, None]
-    R0T = _yaw_rotations(traj._yaw(t0)).transpose(0, 2, 1)
+    R0T = rot_z(traj._yaw(t0)).transpose(0, 2, 1)
     dv_w = traj.velocity(t1) - traj.velocity(t0)
     accels = np.matvec(R0T, dv_w / span - noise.gravity_W) + bias.accel_bias
     # one stacked log for all samples; each row is the log of its turn alone
-    gyros = (so3_log(R0T @ _yaw_rotations(traj._yaw(t1))) / span
+    gyros = (so3_log(R0T @ rot_z(traj._yaw(t1))) / span
              + bias.gyro_bias)
     rates = np.hstack([accels, gyros])
     if rng is not None:
@@ -218,15 +219,6 @@ def simulate_imu(traj: TrajectorySpec, noise: ImuNoiseParams, bias: ImuBias,
                            noise.gyro_noise_density], 3) * np.sqrt(rate)
         rates = rates + rng.normal(0.0, scale, rates.shape)
     return [ImuSample(t, r[:3], r[3:]) for t, r in zip(t0.tolist(), rates)]
-
-
-def _yaw_rotations(yaw: np.ndarray) -> np.ndarray:
-    """`rot_z` of each yaw angle, bit for bit, as one (N, 3, 3) stack."""
-    c, s = np.cos(yaw), np.sin(yaw)
-    R = np.zeros((len(yaw), 3, 3))
-    R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1] = c, -s, s, c
-    R[:, 2, 2] = 1.0
-    return R
 
 
 # the wheel noise keeps one seed for every dataset seed, as the recorded

@@ -67,6 +67,17 @@ def test_elementary_rotations():
     assert np.allclose(rot_z(a), so3_exp([0, 0, a]))
 
 
+def test_rot_z_of_an_array_stacks_each_angle():
+    a = np.array([[0.0, 0.7, -2.5], [np.pi, 1e-9, 4.0]])
+    R = rot_z(a)
+    assert R.shape == (2, 3, 3, 3)
+    for i, j in np.ndindex(a.shape):
+        assert np.array_equal(R[i, j], rot_z(float(a[i, j])))
+    assert np.array_equal(rot_z(0.3),
+                          [[np.cos(0.3), -np.sin(0.3), 0],
+                           [np.sin(0.3), np.cos(0.3), 0], [0, 0, 1]])
+
+
 def test_right_jacobian_first_order_oracle():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -19,10 +19,10 @@ NOISE = ImuNoiseParams()
 
 def raycast_one(world, origin, direction, max_range):
     """Nearest hit of one ray through raycast_batch, or None on a miss."""
-    hits, _, mask = raycast_batch(world, np.asarray(origin, float),
-                                  np.asarray(direction, float)[None, :],
-                                  max_range)
-    return hits[0] if mask[0] else None
+    hits, patch = raycast_batch(world, np.asarray(origin, float),
+                                np.asarray(direction, float)[None, :],
+                                max_range)
+    return hits[0] if patch[0] >= 0 else None
 
 
 def test_patch_normal_is_unit_cross_product():
@@ -77,12 +77,11 @@ def test_raycast_batch_matches_single():
     dirs = rng.normal(size=(50, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     origin = np.array([5.0, 0.0, 1.0])
-    pts, patch, mask = raycast_batch(world, origin, dirs, 8.0)
-    assert np.array_equal(mask, patch >= 0)
-    assert mask.any()
+    pts, patch = raycast_batch(world, origin, dirs, 8.0)
+    assert (patch >= 0).any()
     for i in range(len(dirs)):
         single = raycast_one(world, origin, dirs[i], 8.0)
-        if mask[i]:
+        if patch[i] >= 0:
             assert np.allclose(pts[i], single, atol=1e-9)
             hit = world.patches[patch[i]]
             assert np.linalg.norm(hit.normal) == pytest.approx(1.0)
@@ -101,27 +100,27 @@ def test_raycast_rules_the_candidate_filter_keeps():
     x = np.array([1.0, 0, 0])
     # coincident patches: the first in world order takes the tie
     twin = WorldModel([Patch(*wall), Patch(*wall)])
-    _, patch, mask = raycast_batch(twin, np.zeros(3), x[None, :], 10.0)
-    assert mask[0] and patch[0] == 0
+    _, patch = raycast_batch(twin, np.zeros(3), x[None, :], 10.0)
+    assert patch[0] == 0
     # a hit exactly at max_range is kept
     one = WorldModel([Patch(*wall)])
-    pts, patch, mask = raycast_batch(one, np.zeros(3), x[None, :], 2.0)
-    assert mask[0] and patch[0] == 0 and pts[0][0] == 2.0
+    pts, patch = raycast_batch(one, np.zeros(3), x[None, :], 2.0)
+    assert patch[0] == 0 and pts[0][0] == 2.0
     # a ray just outside a corner, within the inside test's 1e-9 slack, is
     # a hit, also from afar, where the patch's ball spans few directions
     for origin in ([0.0, 0, 0], [-40.0, 3.0, -5.0]):
         for corner in ([2.0, -1.0, -1.0], [2.0, 1.0, 1.0]):
             aim = np.array(corner) + 5e-10 * np.sign(corner) * [0, 1, 1]
             d = aim - origin
-            pts, patch, mask = raycast_batch(one, np.array(origin), d[None, :],
-                                             100.0)
-            assert mask[0] and patch[0] == 0
+            pts, patch = raycast_batch(one, np.array(origin), d[None, :],
+                                       100.0)
+            assert patch[0] == 0
             assert np.allclose(pts[0], aim, atol=1e-9)
     # a ray parallel to the patch misses, even lying in its plane
     along = np.array([[0, 1.0, 0], [0, 0, 1.0]])
     for origin in ([0.0, 0, 0], [2.0, -2.0, -2.0]):
-        pts, patch, mask = raycast_batch(one, np.array(origin), along, 10.0)
-        assert not mask.any() and np.all(patch == -1) and not pts.any()
+        pts, patch = raycast_batch(one, np.array(origin), along, 10.0)
+        assert np.all(patch == -1) and not pts.any()
 
 
 def test_scan_points_lie_on_world_surfaces():
@@ -135,9 +134,10 @@ def test_scan_points_lie_on_world_surfaces():
         (pts_w - p.corner) @ p.normal for p in world.patches]))
     assert np.all(dists.min(axis=0) < 1e-9)
     # seen from inside the room, the normal of each hit patch faces the sensor
-    hits, patch, mask = raycast_batch(world, pose.translation,
-                                      model.directions @ pose.rotation.T,
-                                      model.max_range)
+    hits, patch = raycast_batch(world, pose.translation,
+                                model.directions @ pose.rotation.T,
+                                model.max_range)
+    mask = patch >= 0
     assert np.allclose(hits[mask], pts_w, atol=1e-9)
     normals = np.array([world.patches[i].normal for i in patch[mask]])
     assert np.all(np.einsum("ni,ni->n", normals,
